@@ -1,16 +1,20 @@
-"""Comparison methods sharing the optimizer's loop contract."""
+"""Comparison methods: configurations of the optimizer's loop."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
-import numpy as np
-
-from .optimizer import DEGENERATE_FLAG, FAILURE_FLAG, OptimizerConfig, run
+from .optimizer import OptimizerConfig, run
 from .space import Config, ParamSpace, sample_uniform, uniform_density
-from .surrogate import History, TrialRecord
+from .surrogate import History
 
 BASELINE_KINDS = ("random_search", "tpe_conventional")
+
+
+def propose_uniform(history, space, k, n_candidates, rng):
+    """A proposer that ignores the history: one uniform draw."""
+    return sample_uniform(space, rng), uniform_density(space)
 
 
 def run_baseline(
@@ -20,44 +24,9 @@ def run_baseline(
     space: ParamSpace,
 ) -> History:
     """random_search: all trials uniform; tpe_conventional: lambda-free TPE."""
-    if kind == "tpe_conventional":
-        conv = OptimizerConfig(
-            budget=opt.budget,
-            mode="conventional",
-            k=opt.k,
-            epsilon=opt.epsilon,
-            window=opt.window,
-            n_init=opt.n_init,
-            n_candidates=opt.n_candidates,
-            seed=opt.seed,
-        )
-        return run(conv, blackbox, space)
-    if kind != "random_search":
+    if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
-
-    rng = np.random.default_rng(opt.seed)
-    history = History()
-    u_density = uniform_density(space)
-    for t in range(1, opt.budget + 1):
-        config = sample_uniform(space, rng)
-        flags = []
-        try:
-            result = blackbox(config)
-            f = float(result)
-            if getattr(result, "degenerate", False):
-                flags.append(DEGENERATE_FLAG)
-        except Exception:
-            f = 0.0
-            flags.append(FAILURE_FLAG)
-        history.append(
-            TrialRecord(
-                step=t,
-                config=config,
-                f_value=f,
-                j_score=f,
-                proposal_density=u_density,
-                lambda_used=0.0,
-                flags=tuple(flags),
-            )
-        )
-    return history
+    conv = replace(opt, mode="conventional")
+    if kind == "random_search":
+        return run(conv, blackbox, space, propose=propose_uniform)
+    return run(conv, blackbox, space)

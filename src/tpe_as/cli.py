@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .blackbox import strategy_preset
@@ -31,14 +32,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         config = ExperimentConfig.from_json(args.config.read_text())
         if args.output_dir is not None:
-            config = ExperimentConfig(
-                method=config.method,
-                strategy=config.strategy,
-                scenario=config.scenario,
-                optimizer=config.optimizer,
-                seeds=config.seeds,
-                output_dir=str(args.output_dir),
-            )
+            config = replace(config, output_dir=str(args.output_dir))
         return run_experiment(
             config, overwrite=args.overwrite, parallelism=args.parallelism
         )

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,37 +112,27 @@ def run_name(config: ExperimentConfig, seed: int) -> str:
     return f"{config.method}_{config.strategy}_{config.scenario}_seed{seed}"
 
 
-def _run_cell(method: str, strategy: str, scenario: str, opt: OptimizerConfig, seed: int):
-    """One grid cell: returns (history, space, mean_step_time)."""
-    kind = strategy_preset(strategy)
-    spec = scenario_preset(scenario, seed=seed)
-    space = kind.param_space
-    blackbox = lambda cfg: evaluate(kind, spec, cfg)
-    opt_seeded = OptimizerConfig(
-        budget=opt.budget,
-        mode="adaptive" if method == "tpe_as" else "conventional",
-        k=opt.k,
-        epsilon=opt.epsilon,
-        window=opt.window,
-        n_init=opt.n_init,
-        n_candidates=opt.n_candidates,
-        seed=seed,
-    )
-    start = time.perf_counter()
-    if method == "tpe_as":
-        history = run(opt_seeded, blackbox, space)
-    else:
-        history = run_baseline(method, opt_seeded, blackbox, space)
-    elapsed = time.perf_counter() - start
-    return history, space, elapsed / opt.budget
-
-
-def _cell_worker(args):
-    config_json, seed = args
-    config = ExperimentConfig.from_json(config_json)
-    return seed, _run_cell(
-        config.method, config.strategy, config.scenario, config.optimizer, seed
-    )
+def _run_cell(config: ExperimentConfig, seed: int):
+    """One grid cell: (history, space, mean_step_time), or the exception's repr."""
+    try:
+        kind = strategy_preset(config.strategy)
+        spec = scenario_preset(config.scenario, seed=seed)
+        space = kind.param_space
+        blackbox = lambda cfg: evaluate(kind, spec, cfg)
+        opt = replace(
+            config.optimizer,
+            mode="adaptive" if config.method == "tpe_as" else "conventional",
+            seed=seed,
+        )
+        start = time.perf_counter()
+        if config.method == "tpe_as":
+            history = run(opt, blackbox, space)
+        else:
+            history = run_baseline(config.method, opt, blackbox, space)
+        elapsed = time.perf_counter() - start
+        return history, space, elapsed / opt.budget
+    except Exception as exc:  # keep the grid going
+        return repr(exc)
 
 
 def run_experiment(
@@ -149,7 +140,9 @@ def run_experiment(
 ) -> int:
     """Run all seeds, persist trial logs, trajectories, and a summary CSV.
 
-    Returns a process exit status: 0 iff every run succeeded.
+    A seed that raises gets a `failed: <repr>` summary row, in serial and
+    parallel runs alike.  Returns a process exit status: 0 iff every run
+    succeeded.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,51 +150,26 @@ def run_experiment(
     if summary_path.exists() and not overwrite:
         raise HarnessError(f"{summary_path} exists; pass overwrite to replace it")
 
-    results = {}
-    failures = {}
+    cell = functools.partial(_run_cell, config)
     if parallelism > 1:
-        config_json = json.dumps(
-            {
-                "method": config.method,
-                "strategy": config.strategy,
-                "scenario": config.scenario,
-                "optimizer": {
-                    "budget": config.optimizer.budget,
-                    "k": config.optimizer.k,
-                    "epsilon": config.optimizer.epsilon,
-                    "window": config.optimizer.window,
-                    "n_init": config.optimizer.n_init,
-                    "n_candidates": config.optimizer.n_candidates,
-                },
-                "seeds": list(config.seeds),
-                "output_dir": config.output_dir,
-            }
-        )
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for seed, cell in pool.map(
-                _cell_worker, [(config_json, s) for s in config.seeds]
-            ):
-                results[seed] = cell
+            cells = list(pool.map(cell, config.seeds))
     else:
-        for seed in config.seeds:
-            try:
-                results[seed] = _run_cell(
-                    config.method, config.strategy, config.scenario, config.optimizer, seed
-                )
-            except Exception as exc:  # keep the grid going
-                failures[seed] = repr(exc)
+        cells = list(map(cell, config.seeds))
 
+    status = 0
     with summary_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
-        for seed in config.seeds:
-            if seed in failures:
+        for seed, result in zip(config.seeds, cells):
+            if isinstance(result, str):
                 writer.writerow(
                     [config.method, config.strategy, config.scenario, seed,
-                     f"failed: {failures[seed]}", "", "", ""]
+                     f"failed: {result}", "", "", ""]
                 )
+                status = 1
                 continue
-            history, space, step_time = results[seed]
+            history, space, step_time = result
             summary = summarize(history)
             name = run_name(config, seed)
             (out / f"trials_{name}.jsonl").write_text(history_to_jsonl(history, space))
@@ -214,7 +182,7 @@ def run_experiment(
                 [config.method, config.strategy, config.scenario, seed, "ok",
                  repr(summary.max_f), repr(summary.variance_f), f"{step_time:.6f}"]
             )
-    return 1 if failures else 0
+    return status
 
 
 def summary_from_log(log_path) -> dict:

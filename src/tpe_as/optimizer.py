@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -61,14 +61,18 @@ def run(
     blackbox: Callable[[Config], float],
     space: ParamSpace,
     schedule: Callable[[int, int], float] = lambda_schedule,
+    propose: Callable | None = None,
 ) -> History:
-    """Warm-up with uniform draws, then TPE proposals; score each trial.
+    """Warm-up with uniform draws, then `propose` (TPE by default); score each trial.
 
+    `propose` has the signature of `propose_next`:
+    (history, space, k, n_candidates, rng) -> (config, proposal density).
     Conventional mode keeps lambda at 0 (objective score equals raw f);
     adaptive mode follows the cosine schedule and penalizes the clip-weighted
     windowed variance.  A blackbox failure records f = 0 with a flag and the
     budget is still consumed.
     """
+    propose = propose or propose_next  # resolved per call, so a rebound name is used
     rng = np.random.default_rng(opt.seed)
     history = History()
     u_density = uniform_density(space)
@@ -81,7 +85,7 @@ def run(
             config = sample_uniform(space, rng)
             q = u_density
         else:
-            config, q = propose_next(history, space, opt.k, opt.n_candidates, rng)
+            config, q = propose(history, space, opt.k, opt.n_candidates, rng)
 
         flags = []
         try:
@@ -93,17 +97,11 @@ def run(
             f = 0.0
             flags.append(FAILURE_FLAG)
 
-        if opt.mode == "adaptive":
-            lam = schedule(t, opt.budget)
-            if len(history) >= 2:
-                g_model = build_g_model(history, opt.k, space)
-                stats = windowed_variance(history, g_model, state, (config, f, q))
-                variance = stats.variance
-            else:
-                variance = 0.0
-        else:
-            lam = 0.0
-            variance = 0.0
+        lam = schedule(t, opt.budget) if opt.mode == "adaptive" else 0.0
+        variance = 0.0
+        if lam > 0 and len(history) >= 2:
+            g_model = build_g_model(history, opt.k, space)
+            variance = windowed_variance(history, g_model, state, (config, f, q)).variance
 
         j = lagrangian_score(f, variance, lam)
         history.append(

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -119,9 +119,6 @@ class Config:
 
     def as_dict(self, space: ParamSpace) -> dict:
         return {d.name: v for d, v in zip(space.domains, self.values)}
-
-    def to_json(self, space: ParamSpace) -> str:
-        return json.dumps(self.as_dict(space))
 
     @classmethod
     def from_dict(cls, space: ParamSpace, doc: dict) -> "Config":

@@ -5,7 +5,7 @@ import pytest
 
 from tpe_as.baselines import run_baseline
 from tpe_as.optimizer import OptimizerConfig, run, summarize
-from tpe_as.space import ParamDomain, ParamSpace
+from tpe_as.space import ParamDomain, ParamSpace, sample_uniform, uniform_density
 
 
 @pytest.fixture
@@ -27,6 +27,13 @@ def test_random_search_shape(space_2d):
     assert all(t.j_score == t.f_value for t in history.trials)
     # all proposals uniform: shared proposal density
     assert len({t.proposal_density for t in history.trials}) == 1
+    # trial i is the i-th uniform draw from the seed's stream, scored raw
+    rng = np.random.default_rng(opt.seed)
+    for t in history.trials:
+        assert t.config == sample_uniform(space_2d, rng)
+        assert t.f_value == quadratic(t.config)
+        assert t.j_score == t.f_value
+        assert t.proposal_density == uniform_density(space_2d)
 
 
 def test_tpe_conventional_delegates(space_2d):

@@ -138,6 +138,20 @@ class TestRunExperiment:
         ]
         assert strip(a) == strip(b)
 
+    def test_failed_seed_reported_alike_serial_and_parallel(self, tmp_path):
+        # seed -1 fails: np.random.default_rng rejects negative seeds
+        rows = {}
+        for parallelism in (1, 2):
+            out = tmp_path / f"p{parallelism}"
+            cfg = make_config(tmp_path, seeds=[0, -1], output_dir=str(out))
+            assert run_experiment(cfg, parallelism=parallelism) == 1
+            assert (out / f"trials_{run_name(cfg, 0)}.jsonl").exists()
+            text = (out / "summary.csv").read_text()
+            rows[parallelism] = [row[:-1] for row in csv.reader(text.splitlines())]
+        assert rows[1] == rows[2]
+        assert rows[1][1][4] == "ok"
+        assert rows[1][2][4].startswith("failed: ")
+
 
 class TestReport:
     def test_report_medians(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tpe_as.baselines import run_baseline
 from tpe_as.optimizer import (
     FAILURE_FLAG,
     OptimizerConfig,
@@ -48,7 +49,12 @@ class TestRun:
         opt = OptimizerConfig(budget=40, n_init=10, seed=3)
         assert run(opt, quadratic, space_2d).trials == run(opt, quadratic, space_2d).trials
 
-    def test_failure_containment(self, space_2d):
+    @pytest.mark.parametrize(
+        "runner",
+        [run, lambda opt, bb, space: run_baseline("random_search", opt, bb, space)],
+        ids=["run", "random_search"],
+    )
+    def test_failure_containment(self, space_2d, runner):
         calls = []
 
         def flaky(cfg):
@@ -58,12 +64,12 @@ class TestRun:
             return quadratic(cfg)
 
         opt = OptimizerConfig(budget=30, n_init=10, seed=4)
-        history = run(opt, flaky, space_2d)
+        history = runner(opt, flaky, space_2d)
         assert len(history) == 30
         failed = history.trials[14]
         assert failed.f_value == 0.0
         assert FAILURE_FLAG in failed.flags
-        clean = run(opt, quadratic, space_2d)
+        clean = runner(opt, quadratic, space_2d)
         assert history.trials[:14] == clean.trials[:14]
 
     def test_monotone_best_so_far(self, space_2d):
