@@ -4,8 +4,6 @@ portfolio black-box and experiment harness."""
 from .space import Config, ParamDomain, ParamSpace, sample_uniform, uniform_density, validate
 from .surrogate import History, KdeModel, TrialRecord, acquisition, density, fit_kde, propose_next, split_history
 from .objective import (
-    ScheduleState,
-    WindowStats,
     build_g_model,
     importance_weight,
     lagrangian_score,
@@ -30,8 +28,8 @@ __all__ = [
     "Config", "ParamDomain", "ParamSpace", "sample_uniform", "uniform_density", "validate",
     "History", "KdeModel", "TrialRecord", "acquisition", "density", "fit_kde",
     "propose_next", "split_history",
-    "ScheduleState", "WindowStats", "build_g_model", "importance_weight",
-    "lagrangian_score", "lambda_schedule", "windowed_variance",
+    "build_g_model", "importance_weight", "lagrangian_score", "lambda_schedule",
+    "windowed_variance",
     "PriceSeries", "ScenarioSpec", "StrategyKind", "evaluate", "generate_scenario",
     "run_strategy", "scenario_preset", "sharpe_annualized", "strategy_preset",
     "OptimizerConfig", "RunSummary", "run", "summarize", "run_baseline",

@@ -65,7 +65,9 @@ class ExperimentConfig:
             seeds=tuple(doc["seeds"]),
             output_dir=doc.get("output_dir", "out"),
         )
-        # fail fast on unresolvable presets, before any run starts
+        # fail fast on bad seeds and unresolvable presets, before any run starts
+        if not all(type(seed) is int and seed >= 0 for seed in cfg.seeds):
+            raise HarnessError(f"seeds must be non-negative integers, got {list(cfg.seeds)}")
         strategy_preset(cfg.strategy)
         scenario_preset(cfg.scenario)
         return cfg

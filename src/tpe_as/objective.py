@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,32 +12,6 @@ from .surrogate import History, KdeModel, SurrogateError, density, fit_kde
 
 class ObjectiveError(ValueError):
     """Raised for invalid schedule or weight arguments."""
-
-
-@dataclass(frozen=True)
-class ScheduleState:
-    """Knobs of the adaptive objective: budget, step, clip radius, window."""
-
-    budget: int
-    step: int
-    epsilon: float = 0.2
-    window: int = 20
-
-    def __post_init__(self):
-        if self.budget < 1 or not 1 <= self.step:
-            raise ObjectiveError("budget and step must be positive")
-        if self.epsilon < 0:
-            raise ObjectiveError("epsilon must be nonnegative")
-        if self.window < 2:
-            raise ObjectiveError("window must be at least 2")
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Weighted values over the trailing window and their population variance."""
-
-    weighted_values: tuple
-    variance: float
 
 
 def lambda_schedule(t: int, eta: int) -> float:
@@ -61,30 +34,21 @@ def importance_weight(g_density: float, q_density: float, epsilon: float) -> flo
 
 
 def windowed_variance(
-    history: History,
-    g_model: KdeModel,
-    state: ScheduleState,
-    current,
-) -> WindowStats:
+    history: History, g_model: KdeModel, current, epsilon: float, window: int
+) -> float:
     """Population variance of clip-weighted f values over the trailing window.
 
     `current` is a (config, f_value, proposal_density) triple for the trial
-    being scored; the window covers the last min(W, available) trials
-    including it.  Fewer than 2 entries gives variance 0.
+    being scored; the window covers the last min(window, available) trials
+    including it.
     """
-    config, f_value, proposal_density = current
-    tail = history.trials[-(state.window - 1):] if state.window > 1 else []
-    entries = [(t.config, t.f_value, t.proposal_density) for t in tail]
-    entries.append((config, f_value, proposal_density))
-    entries = entries[-state.window:]
-
-    weighted = []
-    for cfg, f, q in entries:
-        w = importance_weight(density(g_model, cfg), q, state.epsilon)
-        weighted.append(w * f)
-    if len(weighted) < 2:
-        return WindowStats(tuple(weighted), 0.0)
-    return WindowStats(tuple(weighted), float(np.var(weighted)))
+    if window < 2:
+        raise ObjectiveError("window must be at least 2")
+    entries = [(t.config, t.f_value, t.proposal_density) for t in history.trials[1 - window:]]
+    entries.append(current)
+    g = density(g_model, [cfg for cfg, _, _ in entries])
+    weighted = [importance_weight(gi, q, epsilon) * f for gi, (_, f, q) in zip(g, entries)]
+    return float(np.var(weighted))
 
 
 def lagrangian_score(f_value: float, variance: float, lambda_t: float) -> float:

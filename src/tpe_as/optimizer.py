@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .objective import (
-    ScheduleState,
-    build_g_model,
-    lagrangian_score,
-    lambda_schedule,
-    windowed_variance,
-)
+from .objective import build_g_model, lagrangian_score, lambda_schedule, windowed_variance
 from .space import Config, ParamSpace, sample_uniform, uniform_density
 from .surrogate import History, TrialRecord, propose_next
 
 FAILURE_FLAG = "blackbox_failure"
 DEGENERATE_FLAG = "degenerate_volatility"
+NONFINITE_FLAG = "nonfinite_result"
 
 
 class OptimizerError(ValueError):
@@ -69,16 +65,14 @@ def run(
     (history, space, k, n_candidates, rng) -> (config, proposal density).
     Conventional mode keeps lambda at 0 (objective score equals raw f);
     adaptive mode follows the cosine schedule and penalizes the clip-weighted
-    windowed variance.  A blackbox failure records f = 0 with a flag and the
+    windowed variance.  A blackbox that raises or returns NaN or +-inf records
+    f = 0 with FAILURE_FLAG (plus NONFINITE_FLAG for the latter), and the
     budget is still consumed.
     """
     propose = propose or propose_next  # resolved per call, so a rebound name is used
     rng = np.random.default_rng(opt.seed)
     history = History()
     u_density = uniform_density(space)
-    state = ScheduleState(
-        budget=opt.budget, step=1, epsilon=opt.epsilon, window=opt.window
-    )
 
     for t in range(1, opt.budget + 1):
         if t <= opt.n_init:
@@ -87,21 +81,22 @@ def run(
         else:
             config, q = propose(history, space, opt.k, opt.n_candidates, rng)
 
-        flags = []
         try:
             result = blackbox(config)
             f = float(result)
-            if getattr(result, "degenerate", False):
-                flags.append(DEGENERATE_FLAG)
+            flags = (DEGENERATE_FLAG,) if getattr(result, "degenerate", False) else ()
+            if not math.isfinite(f):
+                f, flags = 0.0, (FAILURE_FLAG, NONFINITE_FLAG)
         except Exception:
-            f = 0.0
-            flags.append(FAILURE_FLAG)
+            f, flags = 0.0, (FAILURE_FLAG,)
 
         lam = schedule(t, opt.budget) if opt.mode == "adaptive" else 0.0
         variance = 0.0
         if lam > 0 and len(history) >= 2:
             g_model = build_g_model(history, opt.k, space)
-            variance = windowed_variance(history, g_model, state, (config, f, q)).variance
+            variance = windowed_variance(
+                history, g_model, (config, f, q), opt.epsilon, opt.window
+            )
 
         j = lagrangian_score(f, variance, lam)
         history.append(
@@ -112,7 +107,7 @@ def run(
                 j_score=j,
                 proposal_density=q,
                 lambda_used=lam,
-                flags=tuple(flags),
+                flags=flags,
             )
         )
     return history

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import erf
@@ -14,6 +13,7 @@ from .space import Config, ParamSpace, require_valid
 BANDWIDTH_FLOOR_FRAC = 1e-3  # of domain width
 MAX_REJECTION_TRIES = 1000
 DENSITY_FLOOR = 1e-300  # keeps far-tail evaluations positive despite underflow
+CATEGORICAL_FLOOR = 0.1  # weight of the uniform table mixed into each categorical table
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -104,7 +104,7 @@ def _scott_bandwidth(values: np.ndarray, n_numeric: int, width: float) -> float:
     return max(bw, magic_clip, BANDWIDTH_FLOOR_FRAC * width)
 
 
-def fit_kde(members, space: ParamSpace, floor_weight: float = 0.1) -> KdeModel:
+def fit_kde(members, space: ParamSpace) -> KdeModel:
     """Fit a Parzen density with one component per member config."""
     if not members:
         raise SurrogateError("cannot fit a KDE on zero members")
@@ -138,7 +138,7 @@ def fit_kde(members, space: ParamSpace, floor_weight: float = 0.1) -> KdeModel:
             counts = np.array([col.count(c) for c in d.choices], dtype=float)
             empirical = counts / counts.sum()
             uniform = np.full(len(d.choices), 1.0 / len(d.choices))
-            tables[i] = (1.0 - floor_weight) * empirical + floor_weight * uniform
+            tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
     return KdeModel(
         space=space,
         centers=tuple(centers),
@@ -150,31 +150,37 @@ def fit_kde(members, space: ParamSpace, floor_weight: float = 0.1) -> KdeModel:
     )
 
 
-def density(model: KdeModel, config: Config) -> float:
-    """Evaluate the mixture density at a config; strictly positive."""
-    require_valid(model.space, config)
-    per_component = np.ones(model.n_components)
-    categorical_factor = 1.0
+def density(model: KdeModel, configs) -> np.ndarray:
+    """Mixture densities at a list of configs; each strictly positive.
+
+    Kernels form an (n_configs x n_components) array, multiplied one
+    dimension at a time in dimension order and averaged over components, so
+    each entry equals a one-config call bit for bit.
+    """
+    for cfg in configs:
+        require_valid(model.space, cfg)
+    per_component = np.ones((len(configs), model.n_components))
+    categorical_factor = np.ones(len(configs))
     for i, d in enumerate(model.space.domains):
-        v = config.values[i]
+        col = [cfg.values[i] for cfg in configs]
         if d.kind == "continuous":
             bw = model.bandwidths[i]
-            z = (float(v) - model.centers[i]) / bw
+            z = (np.array(col, dtype=float)[:, None] - model.centers[i]) / bw
             pdf = np.exp(-0.5 * z * z) / (bw * SQRT2PI)
             per_component *= pdf / model.trunc_mass[i]
         elif d.kind == "integer":
-            per_component *= model.lattice_pmf[i][:, int(v) - int(d.lo)]
+            per_component *= model.lattice_pmf[i][:, [int(v) - int(d.lo) for v in col]].T
         else:
             table = model.categorical_tables[i]
-            categorical_factor *= float(table[d.choices.index(v)])
-    return max(float(per_component.mean() * categorical_factor), DENSITY_FLOOR)
+            categorical_factor *= table[[d.choices.index(v) for v in col]]
+    return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
 
 
-def acquisition(good_model: KdeModel, bad_model: KdeModel, config: Config) -> float:
-    """Density ratio of the good model over the bad model at a config."""
+def acquisition(good_model: KdeModel, bad_model: KdeModel, configs) -> np.ndarray:
+    """Density ratios of the good model over the bad model at a list of configs."""
     if good_model.space != bad_model.space:
         raise SurrogateError("good and bad models must share a space")
-    return density(good_model, config) / density(bad_model, config)
+    return density(good_model, configs) / density(bad_model, configs)
 
 
 def sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
@@ -207,26 +213,18 @@ def propose_next(
     k: float,
     n_candidates: int,
     rng: np.random.Generator,
-    floor_weight: float = 0.1,
 ):
     """Propose the next config by maximizing the good/bad density ratio.
 
     Returns (config, proposal_density) where the density is taken under the
-    good-group model the candidate was drawn from.
+    good-group model the candidates were drawn from; the first of tied
+    candidates wins.
     """
     if n_candidates < 1:
         raise SurrogateError("need at least one candidate")
     good, bad = split_history(history, k)
-    good_model = fit_kde([t.config for t in good], space, floor_weight)
-    bad_model = fit_kde([t.config for t in bad], space, floor_weight)
-
-    best_cfg: Optional[Config] = None
-    best_alpha = -math.inf
-    best_q = 0.0
-    for _ in range(n_candidates):
-        cand = sample_from_kde(good_model, rng)
-        q = density(good_model, cand)
-        alpha = q / density(bad_model, cand)
-        if alpha > best_alpha:
-            best_cfg, best_alpha, best_q = cand, alpha, q
-    return best_cfg, best_q
+    good_model = fit_kde([t.config for t in good], space)
+    bad_model = fit_kde([t.config for t in bad], space)
+    candidates = [sample_from_kde(good_model, rng) for _ in range(n_candidates)]
+    best = candidates[int(np.argmax(acquisition(good_model, bad_model, candidates)))]
+    return best, float(density(good_model, [best])[0])

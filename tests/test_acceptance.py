@@ -63,8 +63,8 @@ def test_criterion_3_kde_normalization():
         model = fit_kde(members, space)
         probes_x = rng.uniform(lo, lo + width, 100_000)
         probes_c = rng.integers(n_choices, size=100_000)
-        dens = np.array(
-            [density(model, Config((x, space.domains[1].choices[c]))) for x, c in zip(probes_x, probes_c)]
+        dens = density(
+            model, [Config((x, space.domains[1].choices[c])) for x, c in zip(probes_x, probes_c)]
         )
         integral = dens.mean() * width * n_choices
         ok &= abs(integral - 1.0) <= 0.05

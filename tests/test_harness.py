@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -52,6 +53,11 @@ class TestConfigParsing:
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(HarnessError):
             make_config(tmp_path, seeds=[3, 3])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+    def test_bad_seed_rejected(self, tmp_path, seed):
+        with pytest.raises(HarnessError):
+            make_config(tmp_path, seeds=[0, seed])
 
     def test_mode_key_ignored(self, tmp_path):
         cfg = make_config(tmp_path, optimizer={"budget": 30, "mode": "conventional"})
@@ -139,11 +145,12 @@ class TestRunExperiment:
         assert strip(a) == strip(b)
 
     def test_failed_seed_reported_alike_serial_and_parallel(self, tmp_path):
-        # seed -1 fails: np.random.default_rng rejects negative seeds
+        # seed -1 fails in its cell: np.random.default_rng rejects negative
+        # seeds; `replace` gets it past the parser, which rejects it too
         rows = {}
         for parallelism in (1, 2):
             out = tmp_path / f"p{parallelism}"
-            cfg = make_config(tmp_path, seeds=[0, -1], output_dir=str(out))
+            cfg = dataclasses.replace(make_config(tmp_path, output_dir=str(out)), seeds=(0, -1))
             assert run_experiment(cfg, parallelism=parallelism) == 1
             assert (out / f"trials_{run_name(cfg, 0)}.jsonl").exists()
             text = (out / "summary.csv").read_text()

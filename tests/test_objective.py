@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tpe_as.objective import (
     ObjectiveError,
-    ScheduleState,
     build_g_model,
     importance_weight,
     lagrangian_score,
@@ -83,41 +82,38 @@ class TestWindowedVariance:
 
     def test_constant_sequence_zero_variance(self):
         cfg = Config((0.5,))
-        q = density(self.g, cfg)  # weight exactly 1 at matching densities
+        q = density(self.g, [cfg])[0]  # weight exactly 1 at matching densities
         history = _history_of(self.space, [(cfg, 2.0, q)] * 5)
-        state = ScheduleState(budget=100, step=6, epsilon=0.2, window=4)
-        stats = windowed_variance(history, self.g, state, (cfg, 2.0, q))
-        assert stats.variance == pytest.approx(0.0)
+        assert windowed_variance(history, self.g, (cfg, 2.0, q), 0.2, 4) == pytest.approx(0.0)
 
     def test_two_point_population_variance(self):
         # weighted values {1.0, 3.0}: mean 2, population variance 1
         cfg = Config((0.5,))
-        q = density(self.g, cfg)
+        q = density(self.g, [cfg])[0]
         history = _history_of(self.space, [(cfg, 1.0, q)])
-        state = ScheduleState(budget=100, step=2, epsilon=0.2, window=5)
-        stats = windowed_variance(history, self.g, state, (cfg, 3.0, q))
-        assert stats.weighted_values == pytest.approx((1.0, 3.0))
-        assert stats.variance == pytest.approx(1.0)
+        assert windowed_variance(history, self.g, (cfg, 3.0, q), 0.2, 5) == pytest.approx(1.0)
 
     def test_single_entry_zero(self):
         cfg = Config((0.5,))
-        state = ScheduleState(budget=100, step=1, epsilon=0.2, window=5)
-        stats = windowed_variance(History(), self.g, state, (cfg, 3.0, 1.0))
-        assert stats.variance == 0.0
+        assert windowed_variance(History(), self.g, (cfg, 3.0, 1.0), 0.2, 5) == 0.0
+
+    def test_window_below_two_rejected(self):
+        cfg = Config((0.5,))
+        with pytest.raises(ObjectiveError):
+            windowed_variance(History(), self.g, (cfg, 3.0, 1.0), 0.2, 1)
 
     def test_trials_beyond_window_ignored(self):
         rng = np.random.default_rng(0)
         cfg = Config((0.5,))
-        q = density(self.g, cfg)
+        q = density(self.g, [cfg])[0]
         tail = [(cfg, float(rng.normal()), q) for _ in range(4)]
-        state = ScheduleState(budget=100, step=20, epsilon=0.2, window=5)
         short = _history_of(self.space, tail)
         prefixed = _history_of(
             self.space, [(cfg, float(rng.normal(10)), q) for _ in range(15)] + tail
         )
         current = (cfg, 1.5, q)
-        assert windowed_variance(short, self.g, state, current).variance == pytest.approx(
-            windowed_variance(prefixed, self.g, state, current).variance
+        assert windowed_variance(short, self.g, current, 0.2, 5) == pytest.approx(
+            windowed_variance(prefixed, self.g, current, 0.2, 5)
         )
 
     def test_epsilon_zero_matches_unweighted_variance(self):
@@ -127,10 +123,9 @@ class TestWindowedVariance:
             for _ in range(6)
         ]
         history = _history_of(self.space, entries[:-1])
-        state = ScheduleState(budget=100, step=6, epsilon=0.0, window=10)
-        stats = windowed_variance(history, self.g, state, entries[-1])
+        variance = windowed_variance(history, self.g, entries[-1], 0.0, 10)
         fs = [f for _, f, _ in entries]
-        assert stats.variance == pytest.approx(float(np.var(fs)))
+        assert variance == pytest.approx(float(np.var(fs)))
 
 
 class TestLagrangianScore:
@@ -178,6 +173,6 @@ class TestBuildGModel:
         history = _history_of(unit_space, entries)
         model = build_g_model(history, 0.15, unit_space)
         ranked = sorted(history.trials, key=lambda t: -t.f_value)
-        top = np.mean([density(model, t.config) for t in ranked[:10]])
-        bottom = np.mean([density(model, t.config) for t in ranked[-10:]])
+        top = np.mean(density(model, [t.config for t in ranked[:10]]))
+        bottom = np.mean(density(model, [t.config for t in ranked[-10:]]))
         assert top > bottom

@@ -1,9 +1,16 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_space
 from tpe_as.baselines import run_baseline
 from tpe_as.optimizer import (
     FAILURE_FLAG,
+    NONFINITE_FLAG,
     OptimizerConfig,
     OptimizerError,
     run,
@@ -71,6 +78,33 @@ class TestRun:
         assert FAILURE_FLAG in failed.flags
         clean = runner(opt, quadratic, space_2d)
         assert history.trials[:14] == clean.trials[:14]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        outcomes=st.lists(
+            st.sampled_from(["ok", "ok", "raise", "nan", "inf", "-inf"]), min_size=30, max_size=30
+        ),
+        runner=st.sampled_from([run, functools.partial(run_baseline, "random_search")]),
+    )
+    def test_bad_blackbox_output_flagged(self, seed, outcomes, runner):
+        pending = iter(outcomes)
+
+        def bad_blackbox(cfg):
+            outcome = next(pending)
+            if outcome == "raise":
+                raise RuntimeError("simulator crashed")
+            if outcome != "ok":
+                return float(outcome)
+            return sum(float(v) for v in cfg.values if not isinstance(v, str))
+
+        opt = OptimizerConfig(budget=30, n_init=8, n_candidates=8, window=6, seed=seed)
+        history = runner(opt, bad_blackbox, random_space(np.random.default_rng(seed)))
+        assert len(history) == 30
+        for t, outcome in zip(history.trials, outcomes):
+            assert math.isfinite(t.f_value) and math.isfinite(t.j_score)
+            assert (FAILURE_FLAG in t.flags) == (outcome != "ok")
+            assert (NONFINITE_FLAG in t.flags) == (outcome not in ("ok", "raise"))
 
     def test_monotone_best_so_far(self, space_2d):
         opt = OptimizerConfig(budget=60, n_init=10, seed=5)

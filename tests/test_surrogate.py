@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpe_as.space import Config, ParamDomain, ParamSpace, sample_uniform
+from conftest import random_space
+from tpe_as.space import Config, ParamDomain, ParamSpace, SpaceError, require_valid, sample_uniform
 from tpe_as.surrogate import (
+    DENSITY_FLOOR,
+    SQRT2PI,
     History,
     SurrogateError,
     TrialRecord,
@@ -65,22 +70,21 @@ class TestSplitHistory:
 class TestFitKde:
     def test_single_member_peaks_at_center(self, unit_space):
         model = fit_kde([Config((0.5,))], unit_space)
-        assert density(model, Config((0.5,))) > density(model, Config((0.0,)))
-        assert density(model, Config((0.5,))) > density(model, Config((1.0,)))
+        mid, lo, hi = density(model, [Config((0.5,)), Config((0.0,)), Config((1.0,))])
+        assert mid > lo and mid > hi
 
     def test_categorical_smoothing_arithmetic(self):
         # 0.9 * {1, 0} + 0.1 * {0.5, 0.5}
         space = ParamSpace((ParamDomain("c", "categorical", choices=("A", "B")),))
-        model = fit_kde([Config(("A",))] * 5, space, floor_weight=0.1)
-        assert density(model, Config(("A",))) == pytest.approx(0.95)
-        assert density(model, Config(("B",))) == pytest.approx(0.05)
+        model = fit_kde([Config(("A",))] * 5, space)
+        assert density(model, [Config(("A",)), Config(("B",))]) == pytest.approx([0.95, 0.05])
 
     def test_mc_normalization_1d(self, unit_space):
         rng = np.random.default_rng(2)
         members = [sample_uniform(unit_space, rng) for _ in range(10)]
         model = fit_kde(members, unit_space)
         xs = rng.uniform(0.0, 1.0, 100_000)
-        integral = np.mean([density(model, Config((float(x),))) for x in xs])
+        integral = np.mean(density(model, [Config((float(x),)) for x in xs]))
         assert integral == pytest.approx(1.0, abs=0.05)
 
     def test_empty_members_error(self, unit_space):
@@ -101,7 +105,8 @@ class TestFitKde:
 class TestDensity:
     def test_center_beats_far_tail(self, unit_space):
         model = fit_kde([Config((0.2,))], unit_space)
-        assert density(model, Config((0.2,))) > density(model, Config((0.95,)))
+        center, tail = density(model, [Config((0.2,)), Config((0.95,))])
+        assert center > tail
 
     def test_coincident_points_hit_stability_clip(self, mixed_space):
         # zero spread leaves no Scott bandwidth; the width/min(100, n+1)
@@ -125,13 +130,55 @@ class TestDensity:
         # every choice equally represented -> tables stay uniform
         members = [Config((a, b)) for a in ("A", "B") for b in ("X", "Y", "Z")]
         model = fit_kde(members, space)
-        assert density(model, Config(("A", "X"))) == pytest.approx(1 / 2 * 1 / 3)
+        assert density(model, [Config(("A", "X"))]) == pytest.approx([1 / 2 * 1 / 3])
 
     def test_positivity_everywhere(self, mixed_space, rng):
         members = [sample_uniform(mixed_space, rng) for _ in range(5)]
         model = fit_kde(members, mixed_space)
-        for _ in range(200):
-            assert density(model, sample_uniform(mixed_space, rng)) > 0
+        probes = [sample_uniform(mixed_space, rng) for _ in range(200)]
+        assert np.all(density(model, probes) > 0)
+
+
+def reference_density(model, config):
+    """The per-config density the batch path replaced, kept as its oracle."""
+    require_valid(model.space, config)
+    per_component = np.ones(model.n_components)
+    categorical_factor = 1.0
+    for i, d in enumerate(model.space.domains):
+        v = config.values[i]
+        if d.kind == "continuous":
+            bw = model.bandwidths[i]
+            z = (float(v) - model.centers[i]) / bw
+            pdf = np.exp(-0.5 * z * z) / (bw * SQRT2PI)
+            per_component *= pdf / model.trunc_mass[i]
+        elif d.kind == "integer":
+            per_component *= model.lattice_pmf[i][:, int(v) - int(d.lo)]
+        else:
+            table = model.categorical_tables[i]
+            categorical_factor *= float(table[d.choices.index(v)])
+    return max(float(per_component.mean() * categorical_factor), DENSITY_FLOOR)
+
+
+class TestBatchDensity:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_per_config(self, seed):
+        # exact equality: trial logs depend on every bit of these densities
+        rng = np.random.default_rng(seed)
+        space = random_space(rng, max_dims=30)
+        members = [sample_uniform(space, rng) for _ in range(int(rng.integers(1, 40)))]
+        model = fit_kde(members, space)
+        probes = members[:5]
+        for _ in range(20):
+            probes += [sample_uniform(space, rng), sample_from_kde(model, rng)]
+        batch = density(model, probes)
+        assert np.array_equal(batch, [reference_density(model, p) for p in probes])
+        assert np.array_equal(batch, np.concatenate([density(model, [p]) for p in probes]))
+
+    def test_invalid_config_rejected(self, unit_space):
+        model = fit_kde([Config((0.5,))], unit_space)
+        with pytest.raises(SpaceError):
+            density(model, [Config((0.5,)), Config((2.0,))])
 
 
 class TestAcquisition:
@@ -139,30 +186,28 @@ class TestAcquisition:
         good = fit_kde([Config((0.3,)), Config((0.4,))], unit_space)
         bad = fit_kde([Config((0.8,)), Config((0.9,))], unit_space)
         probe = Config((0.35,))
-        expected = density(good, probe) / density(bad, probe)
-        assert acquisition(good, bad, probe) == pytest.approx(expected)
+        expected = density(good, [probe]) / density(bad, [probe])
+        assert acquisition(good, bad, [probe]) == pytest.approx(expected)
 
     def test_equal_models_give_one(self, unit_space):
         members = [Config((0.3,)), Config((0.6,))]
         good = fit_kde(members, unit_space)
         bad = fit_kde(members, unit_space)
-        assert acquisition(good, bad, Config((0.5,))) == pytest.approx(1.0)
+        assert acquisition(good, bad, [Config((0.5,))]) == pytest.approx([1.0])
 
     def test_argmax_invariant_under_log(self, unit_space, rng):
         good = fit_kde([Config((0.3,)), Config((0.4,))], unit_space)
         bad = fit_kde([Config((0.7,)), Config((0.9,))], unit_space)
         candidates = [sample_uniform(unit_space, rng) for _ in range(50)]
-        alphas = [acquisition(good, bad, c) for c in candidates]
-        logs = [
-            math.log(density(good, c)) - math.log(density(bad, c)) for c in candidates
-        ]
+        alphas = acquisition(good, bad, candidates)
+        logs = np.log(density(good, candidates)) - np.log(density(bad, candidates))
         assert int(np.argmax(alphas)) == int(np.argmax(logs))
 
     def test_space_mismatch_error(self, unit_space, mixed_space, rng):
         good = fit_kde([Config((0.5,))], unit_space)
         bad = fit_kde([sample_uniform(mixed_space, rng)], mixed_space)
         with pytest.raises(SurrogateError):
-            acquisition(good, bad, Config((0.5,)))
+            acquisition(good, bad, [Config((0.5,))])
 
 
 class TestProposeNext:
