@@ -66,20 +66,6 @@ class PriceSeries:
     def returns(self) -> np.ndarray:
         return self.prices[:, 1:] / self.prices[:, :-1] - 1.0
 
-    @property
-    def n_days(self) -> int:
-        return self.prices.shape[1]
-
-    def to_csv(self, path) -> None:
-        # one row per day, one column per asset
-        np.savetxt(
-            path,
-            self.prices.T,
-            delimiter=",",
-            header=",".join(f"asset_{i}" for i in range(self.prices.shape[0])),
-            comments="",
-        )
-
 
 @dataclass(frozen=True)
 class StrategyKind:

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .blackbox import strategy_preset
-from .harness import ExperimentConfig, report, run_experiment
+from .harness import ExperimentConfig, HarnessError, report, run_experiment
 
 
 def main(argv=None) -> int:
@@ -29,16 +29,19 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        config = ExperimentConfig.from_json(args.config.read_text())
-        if args.output_dir is not None:
-            config = replace(config, output_dir=str(args.output_dir))
-        return run_experiment(
-            config, overwrite=args.overwrite, parallelism=args.parallelism
-        )
-    if args.command == "report":
-        print(report(args.summary))
-        return 0
+    try:
+        if args.command == "run":
+            config = ExperimentConfig.from_json(args.config.read_text())
+            if args.output_dir is not None:
+                config = replace(config, output_dir=str(args.output_dir))
+            return run_experiment(
+                config, overwrite=args.overwrite, parallelism=args.parallelism
+            )
+        if args.command == "report":
+            print(report(args.summary))
+            return 0
+    except (HarnessError, OSError) as exc:
+        parser.error(str(exc))  # one line and exit status 2, not a traceback
     print(strategy_preset(args.strategy).param_space.to_json())
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import run_baseline
 from .blackbox import evaluate, scenario_preset, strategy_preset
 from .optimizer import OptimizerConfig, run, summarize
-from .space import Config, ParamSpace
+from .space import Config, ParamSpace, require_valid
 from .surrogate import History, TrialRecord
 
 METHODS = ("tpe_as", "tpe_conventional", "random_search")
@@ -53,23 +53,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = json.loads(text)
-        opt_doc = dict(doc.get("optimizer", {}))
-        opt_doc.pop("mode", None)  # mode follows the method
-        opt = OptimizerConfig(mode="adaptive", seed=0, **opt_doc)
-        cfg = cls(
-            method=doc["method"],
-            strategy=doc["strategy"],
-            scenario=doc["scenario"],
-            optimizer=opt,
-            seeds=tuple(doc["seeds"]),
-            output_dir=doc.get("output_dir", "out"),
-        )
-        # fail fast on bad seeds and unresolvable presets, before any run starts
-        if not all(type(seed) is int and seed >= 0 for seed in cfg.seeds):
-            raise HarnessError(f"seeds must be non-negative integers, got {list(cfg.seeds)}")
-        strategy_preset(cfg.strategy)
-        scenario_preset(cfg.scenario)
+        try:
+            doc = json.loads(text)
+            opt_doc = dict(doc.get("optimizer", {}))
+            opt_doc.pop("mode", None)  # mode follows the method
+            opt_doc.pop("seed", None)  # and each cell sets its own seed
+            cfg = cls(
+                method=doc["method"],
+                strategy=doc["strategy"],
+                scenario=doc["scenario"],
+                optimizer=OptimizerConfig(**opt_doc),
+                seeds=tuple(doc["seeds"]),
+                output_dir=doc.get("output_dir", "out"),
+            )
+            # fail fast on bad seeds and unresolvable presets, before any run starts
+            if not all(type(seed) is int and seed >= 0 for seed in cfg.seeds):
+                raise HarnessError(f"seeds must be non-negative integers, got {list(cfg.seeds)}")
+            strategy_preset(cfg.strategy)
+            scenario_preset(cfg.scenario)
+        except HarnessError:
+            raise
+        except KeyError as exc:
+            raise HarnessError(f"experiment config lacks key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise HarnessError(f"malformed experiment config: {exc}") from exc
         return cfg
 
 
@@ -96,10 +103,12 @@ def history_from_jsonl(text: str, space: ParamSpace) -> History:
     history = History()
     for line in text.strip().splitlines():
         doc = json.loads(line)
+        config = Config.from_dict(space, doc["config"])
+        require_valid(space, config)  # a log is outside input
         history.append(
             TrialRecord(
                 step=doc["step"],
-                config=Config.from_dict(space, doc["config"]),
+                config=config,
                 f_value=doc["f"],
                 j_score=doc["j_score"],
                 proposal_density=doc["proposal_density"],

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .space import ParamSpace
-from .surrogate import History, KdeModel, SurrogateError, density, fit_kde
+from .surrogate import History, KdeModel, density, fit_kde, rank_top
 
 
 class ObjectiveError(ValueError):
@@ -64,9 +64,5 @@ def build_g_model(history: History, k: float, space: ParamSpace) -> KdeModel:
     Approximates the distribution of high-quality configurations; refreshed
     every optimizer step.
     """
-    n = len(history)
-    if n < 2:
-        raise SurrogateError("need at least 2 trials to build the target model")
-    n_top = max(2, math.ceil(k * n))
-    ranked = sorted(history.trials, key=lambda t: (-t.f_value, t.step))
-    return fit_kde([t.config for t in ranked[:n_top]], space)
+    ranked, n_top = rank_top(history, k, lambda t: t.f_value)
+    return fit_kde([t.config for t in ranked[:n_top]], space)  # rank order fixes component order

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,7 +13,8 @@ from .surrogate import History, TrialRecord, propose_next
 
 FAILURE_FLAG = "blackbox_failure"
 DEGENERATE_FLAG = "degenerate_volatility"
-NONFINITE_FLAG = "nonfinite_result"
+NONFINITE_FLAG = "nonfinite_result"  # NaN, +-inf, or overflow-sized: |f| > MAX_ABS_F
+MAX_ABS_F = 1e100  # bigger results would overflow the windowed variance
 
 
 class OptimizerError(ValueError):
@@ -47,7 +47,6 @@ class OptimizerConfig:
 class RunSummary:
     max_f: float
     variance_f: float  # population variance of all observed f
-    mean_f: float
     best_config: Config
     trajectory: tuple  # (step, f, j_score, lambda) rows
 
@@ -65,9 +64,9 @@ def run(
     (history, space, k, n_candidates, rng) -> (config, proposal density).
     Conventional mode keeps lambda at 0 (objective score equals raw f);
     adaptive mode follows the cosine schedule and penalizes the clip-weighted
-    windowed variance.  A blackbox that raises or returns NaN or +-inf records
-    f = 0 with FAILURE_FLAG (plus NONFINITE_FLAG for the latter), and the
-    budget is still consumed.
+    windowed variance.  A blackbox that raises, or returns NaN, +-inf or a
+    value beyond +-MAX_ABS_F, records f = 0 with FAILURE_FLAG (plus
+    NONFINITE_FLAG for a bad value), and the budget is still consumed.
     """
     propose = propose or propose_next  # resolved per call, so a rebound name is used
     rng = np.random.default_rng(opt.seed)
@@ -85,7 +84,7 @@ def run(
             result = blackbox(config)
             f = float(result)
             flags = (DEGENERATE_FLAG,) if getattr(result, "degenerate", False) else ()
-            if not math.isfinite(f):
+            if not abs(f) <= MAX_ABS_F:  # also catches NaN
                 f, flags = 0.0, (FAILURE_FLAG, NONFINITE_FLAG)
         except Exception:
             f, flags = 0.0, (FAILURE_FLAG,)
@@ -125,7 +124,6 @@ def summarize(history: History) -> RunSummary:
     return RunSummary(
         max_f=float(fs.max()),
         variance_f=float(np.var(fs)),
-        mean_f=float(fs.mean()),
         best_config=best.config,
         trajectory=trajectory,
     )

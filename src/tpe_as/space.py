@@ -97,19 +97,6 @@ class ParamSpace:
                 docs.append({"name": d.name, "kind": d.kind, "lo": d.lo, "hi": d.hi})
         return json.dumps(docs, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ParamSpace":
-        docs = json.loads(text)
-        domains = []
-        for doc in docs:
-            if doc["kind"] == "categorical":
-                domains.append(
-                    ParamDomain(doc["name"], "categorical", choices=tuple(doc["choices"]))
-                )
-            else:
-                domains.append(ParamDomain(doc["name"], doc["kind"], doc["lo"], doc["hi"]))
-        return cls(tuple(domains))
-
 
 @dataclass(frozen=True)
 class Config:
@@ -127,36 +114,23 @@ class Config:
             if d.name not in doc:
                 raise SpaceError(f"missing value for {d.name}")
             v = doc[d.name]
-            if d.kind == "integer" and isinstance(v, float) and v == int(v):
+            if d.kind == "integer" and isinstance(v, float) and v.is_integer():
                 v = int(v)
             values.append(v)
         return cls(tuple(values))
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    name: str
-    reason: str
-
-
-def validate(space: ParamSpace, config: Config) -> list:
-    """Return a list of violations; empty means the config is valid."""
-    if len(config.values) != space.m:
-        return [
-            Violation(-1, "<space>", f"expected {space.m} values, got {len(config.values)}")
-        ]
-    out = []
-    for i, (d, v) in enumerate(zip(space.domains, config.values)):
-        if not d.contains(v):
-            out.append(Violation(i, d.name, f"value {v!r} outside {d.kind} domain"))
-    return out
-
-
 def require_valid(space: ParamSpace, config: Config) -> None:
-    violations = validate(space, config)
-    if violations:
-        raise SpaceError("; ".join(f"{v.name}: {v.reason}" for v in violations))
+    """Raise SpaceError naming every coordinate of config outside its domain."""
+    if len(config.values) != space.m:
+        raise SpaceError(f"<space>: expected {space.m} values, got {len(config.values)}")
+    bad = [
+        f"{d.name}: value {v!r} outside {d.kind} domain"
+        for d, v in zip(space.domains, config.values)
+        if not d.contains(v)
+    ]
+    if bad:
+        raise SpaceError("; ".join(bad))
 
 
 def sample_uniform(space: ParamSpace, rng: np.random.Generator) -> Config:

@@ -75,24 +75,24 @@ class KdeModel:
     lattice_pmf: dict = field(default_factory=dict, compare=False)  # integer dim -> (n_comp, lattice) pmf
 
 
-def split_history(history: History, k: float):
-    """Partition trials into (good, bad) at the top-k quantile of j_score.
-
-    Good group size is max(2, ceil(k*n)); ties at the threshold are broken
-    by lower step index entering good first.
-    """
+def rank_top(history: History, k: float, score):
+    """Trials ranked by descending score, lower step first on ties, and the
+    top-k count max(2, ceil(k*n)): the quantile rule of both density models."""
     n = len(history)
     if n < 2:
-        raise SurrogateError("need at least 2 trials to split")
+        raise SurrogateError("need at least 2 trials to rank")
     if not 0 < k < 1:
         raise SurrogateError("k must lie in (0, 1)")
-    n_good = max(2, math.ceil(k * n))
-    ranked = sorted(history.trials, key=lambda t: (-t.j_score, t.step))
-    good = ranked[:n_good]
-    bad = ranked[n_good:]
-    good.sort(key=lambda t: t.step)
-    bad.sort(key=lambda t: t.step)
-    return good, bad
+    ranked = sorted(history.trials, key=lambda t: (-score(t), t.step))
+    return ranked, max(2, math.ceil(k * n))
+
+
+def split_history(history: History, k: float):
+    """Partition trials into (good, bad) at the top-k quantile of j_score,
+    each group in step order."""
+    ranked, n_good = rank_top(history, k, lambda t: t.j_score)
+    step = lambda t: t.step
+    return sorted(ranked[:n_good], key=step), sorted(ranked[n_good:], key=step)
 
 
 def _scott_bandwidth(values: np.ndarray, n_numeric: int, width: float) -> float:

@@ -56,7 +56,7 @@ class TestGenerateScenario:
         for seed in range(20):
             series = generate_scenario(scenario_preset("stable_bull", n_assets=20, seed=seed))
             total = series.prices[:, -1] / series.prices[:, 0]
-            ann = total ** (252 / (series.n_days - 1)) - 1
+            ann = total ** (252 / (series.prices.shape[1] - 1)) - 1
             if ann.mean() > 0:
                 positive += 1
         assert positive >= 18
@@ -74,14 +74,6 @@ class TestGenerateScenario:
     def test_bad_horizon_rejected(self):
         with pytest.raises(BlackboxError):
             ScenarioSpec("high_volatility", 5, 500, 0, ((0.1, 0.2),))
-
-    def test_csv_export(self, tmp_path):
-        series = generate_scenario(scenario_preset("high_volatility", n_assets=4, seed=0))
-        path = tmp_path / "prices.csv"
-        series.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "asset_0,asset_1,asset_2,asset_3"
-        assert len(rows) == series.n_days + 1
 
 
 class TestRunStrategy:

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from tpe_as import cli
+from tpe_as.blackbox import strategy_preset
 from tpe_as.harness import (
     ExperimentConfig,
     HarnessError,
@@ -15,7 +17,7 @@ from tpe_as.harness import (
     summary_from_log,
 )
 from tpe_as.optimizer import OptimizerConfig, run, summarize
-from tpe_as.space import sample_uniform
+from tpe_as.space import SpaceError, sample_uniform
 
 import numpy as np
 
@@ -26,6 +28,20 @@ BASE_DOC = {
     "scenario": "stable_bull",
     "optimizer": {"budget": 30, "n_init": 10},
     "seeds": [0, 1],
+}
+
+MALFORMED_CONFIGS = {
+    "not-json": "{",
+    "not-an-object": "[]",
+    "unknown-optimizer-key": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "warmup": 5})),
+    "ill-typed-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": "30"})),
+    "n_init-not-below-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 5, "n_init": 10})),
+    "seeds-not-a-list": json.dumps(dict(BASE_DOC, seeds=3)),
+    "unknown-strategy": json.dumps(dict(BASE_DOC, strategy="momentum_carry")),
+    **{
+        f"missing-{key}": json.dumps({k: v for k, v in BASE_DOC.items() if k != key})
+        for key in ("method", "strategy", "scenario", "seeds")
+    },
 }
 
 
@@ -59,9 +75,34 @@ class TestConfigParsing:
         with pytest.raises(HarnessError):
             make_config(tmp_path, seeds=[0, seed])
 
+    @pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_config_rejected(self, text):
+        with pytest.raises(HarnessError):
+            ExperimentConfig.from_json(text)
+
     def test_mode_key_ignored(self, tmp_path):
         cfg = make_config(tmp_path, optimizer={"budget": 30, "mode": "conventional"})
         assert cfg.optimizer.mode == "adaptive"
+
+    def test_optimizer_seed_key_ignored(self, tmp_path):
+        cfg = make_config(tmp_path, optimizer={"budget": 30, "seed": 7})
+        assert cfg.optimizer.seed == 0
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("run", MALFORMED_CONFIGS["ill-typed-budget"]), ("report", json.dumps(BASE_DOC)), ("run", None)],
+        ids=["run-malformed", "report-malformed", "run-missing-file"],
+    )
+    def test_cli_reports_bad_input_in_one_line(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("tpe-as: error: ")
+        assert "Traceback" not in err
 
 
 class TestTrialLogs:
@@ -73,6 +114,17 @@ class TestTrialLogs:
         text = history_to_jsonl(history, mixed_space)
         back = history_from_jsonl(text, mixed_space)
         assert back.trials == history.trials
+
+    @pytest.mark.parametrize("value", [1_000_000, float("inf")])
+    def test_out_of_domain_line_rejected(self, value):
+        space = strategy_preset("threshold_hybrid").param_space
+        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, space)
+        lines = history_to_jsonl(history, space).splitlines()
+        doc = json.loads(lines[2])
+        doc["config"]["mom_lb_0"] = value
+        lines[2] = json.dumps(doc)
+        with pytest.raises(SpaceError, match=r"^mom_lb_0: value .* outside integer domain$"):
+            history_from_jsonl("\n".join(lines), space)
 
     def test_jsonl_is_one_object_per_line(self, mixed_space):
         def bb(cfg):

@@ -83,7 +83,9 @@ class TestRun:
     @given(
         seed=st.integers(0, 2**32 - 1),
         outcomes=st.lists(
-            st.sampled_from(["ok", "ok", "raise", "nan", "inf", "-inf"]), min_size=30, max_size=30
+            st.sampled_from(["ok", "ok", "raise", "nan", "inf", "-inf", "1e300", "-1e300"]),
+            min_size=30,
+            max_size=30,
         ),
         runner=st.sampled_from([run, functools.partial(run_baseline, "random_search")]),
     )

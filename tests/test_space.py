@@ -1,37 +1,44 @@
+import json
+
 import numpy as np
 import pytest
 
+from tpe_as import cli
+from tpe_as.blackbox import strategy_preset
 from tpe_as.space import (
     Config,
     ParamDomain,
     ParamSpace,
     SpaceError,
+    require_valid,
     sample_uniform,
     uniform_density,
-    validate,
 )
 
 from conftest import random_space
 
 
 def test_interior_point_is_valid(unit_space):
-    assert validate(unit_space, Config((0.5,))) == []
+    require_valid(unit_space, Config((0.5,)))
 
 
-def test_out_of_bounds_reported(unit_space):
-    violations = validate(unit_space, Config((1.5,)))
-    assert len(violations) == 1
-    assert violations[0].index == 0
+def test_out_of_bounds_reported(unit_space, mixed_space):
+    with pytest.raises(SpaceError, match=r"^x: value 1\.5 outside continuous domain$"):
+        require_valid(unit_space, Config((1.5,)))
+    # every bad coordinate is named, in domain order
+    with pytest.raises(
+        SpaceError,
+        match=r"^x: value -1 outside continuous domain; c: value 'D' outside categorical domain$",
+    ):
+        require_valid(mixed_space, Config((-1, 5, "D")))
 
 
 def test_length_mismatch_is_distinct_violation():
     space = ParamSpace(
         (ParamDomain("a", "continuous", 0, 1), ParamDomain("b", "continuous", 0, 1))
     )
-    violations = validate(space, Config((0.5,)))
-    assert len(violations) == 1
-    assert violations[0].index == -1
-    assert "expected 2" in violations[0].reason
+    with pytest.raises(SpaceError, match=r"^<space>: expected 2 values, got 1$"):
+        require_valid(space, Config((0.5,)))
 
 
 def test_degenerate_bounds_rejected():
@@ -52,14 +59,14 @@ def test_duplicate_names_rejected():
 
 def test_sample_uniform_validates(mixed_space, rng):
     for _ in range(100):
-        assert validate(mixed_space, sample_uniform(mixed_space, rng)) == []
+        require_valid(mixed_space, sample_uniform(mixed_space, rng))
 
 
 def test_sample_uniform_fuzz_random_spaces(rng):
     for _ in range(50):
         space = random_space(rng)
         cfg = sample_uniform(space, rng)
-        assert validate(space, cfg) == []
+        require_valid(space, cfg)
 
 
 def test_equal_seeds_equal_draws(mixed_space):
@@ -89,8 +96,15 @@ def test_uniform_density(mixed_space):
     assert uniform_density(mixed_space) == pytest.approx(1.0 * (1 / 10) * (1 / 3))
 
 
-def test_space_json_round_trip(mixed_space):
-    assert ParamSpace.from_json(mixed_space.to_json()) == mixed_space
+def test_space_json_round_trip(capsys):
+    assert cli.main(["show-space", "threshold_hybrid"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    shown = [
+        ParamDomain(doc["name"], doc["kind"], doc.get("lo", 0.0), doc.get("hi", 0.0),
+                    tuple(doc.get("choices", ())))
+        for doc in docs
+    ]
+    assert shown == list(strategy_preset("threshold_hybrid").param_space.domains)
 
 
 def test_config_json_round_trip(mixed_space, rng):

@@ -242,11 +242,9 @@ class TestProposeNext:
                             j_score=float(rng.normal()), proposal_density=1.0,
                             lambda_used=0.0)
             )
-        from tpe_as.space import validate
-
         for s in range(20):
             cfg, q = propose_next(history, mixed_space, 0.15, 8, np.random.default_rng(s))
-            assert validate(mixed_space, cfg) == []
+            require_valid(mixed_space, cfg)
             assert q > 0
 
     def test_single_candidate_degenerate_argmax(self, unit_space, rng):
