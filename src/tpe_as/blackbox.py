@@ -191,6 +191,7 @@ def _rolling_std(x: np.ndarray, w: int) -> np.ndarray:
     return np.sqrt(var)
 
 
+@np.errstate(all="ignore")  # a comparison with nan is False, so nan needs no mask
 def _raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray) -> np.ndarray:
     """Desired position per asset per day, decided from data through that day."""
     n_assets, n_days = prices.shape
@@ -214,8 +215,7 @@ def _raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray) -> np.n
             lb = int(params[f"lookback_{g}"])
             mean = _rolling_mean(p, lb)
             std = _rolling_std(p, lb)
-            z = np.where(std > 1e-12, (p - mean) / np.where(std > 1e-12, std, 1.0), 0.0)
-            z = np.nan_to_num(z)
+            z = np.where(std > 1e-12, (p - mean) / std, 0.0)
             raw = np.clip(-z / params[f"entry_z_{g}"], -1.0, 1.0)
             if params[f"mode_{g}"] == "long_only":
                 raw = np.maximum(raw, 0.0)
@@ -224,24 +224,17 @@ def _raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray) -> np.n
             lb = int(params[f"mom_lb_{g}"])
             rsi_lb = int(params[f"rsi_lb_{g}"])
             mom = np.full_like(p, np.nan)
-            if n_days > lb:
-                mom[:, lb:] = p[:, lb:] / p[:, :-lb] - 1.0
+            mom[:, lb:] = p[:, lb:] / p[:, :-lb] - 1.0
             diff = np.diff(p, axis=1)
             gains = _rolling_mean(np.maximum(diff, 0.0), rsi_lb)
             losses = _rolling_mean(np.maximum(-diff, 0.0), rsi_lb)
             denom = gains + losses
-            rsi = np.full_like(p, 50.0)
-            valid = np.zeros_like(p, dtype=bool)
-            valid[:, 1:] = ~np.isnan(denom)
-            rsi[:, 1:] = np.where(
-                np.nan_to_num(denom) > 1e-12,
-                100.0 * np.nan_to_num(gains) / np.where(np.nan_to_num(denom) > 1e-12, np.nan_to_num(denom), 1.0),
-                50.0,
-            )
+            rsi = np.full_like(p, np.nan)  # nan until the RSI window is covered
+            rsi[:, 1:] = np.where(denom <= 1e-12, 50.0, 100.0 * gains / denom)
             th = params[f"mom_th_{g}"]
             band = params[f"rsi_band_{g}"]
-            long_ok = (np.nan_to_num(mom, nan=-np.inf) > th) & (rsi < 100.0 - band) & valid
-            short_ok = (np.nan_to_num(mom, nan=np.inf) < -th) & (rsi > band) & valid
+            long_ok = (mom > th) & (rsi < 100.0 - band)
+            short_ok = (mom < -th) & (rsi > band)
             sig = np.where(long_ok, 1.0, np.where(short_ok, -1.0, 0.0))
             pos[mask] = sig * params[f"sizing_{g}"]
     return pos
@@ -252,32 +245,23 @@ def _apply_stop_loss(
 ) -> np.ndarray:
     """Force positions flat after an adverse move beyond the stop level.
 
-    A stop stays engaged until the raw signal changes sign; entry prices are
-    tracked at sign changes.  All decisions use prices through the current day.
+    A run is a stretch of days with one sign of the raw position; its entry
+    price is the price on its first day.  A held position is flat from the
+    first day its run loses more than the stop, through the end of the run.
+    All decisions use prices through the current day.
     """
     n_assets, n_days = prices.shape
-    groups = np.arange(n_assets) % kind.n_groups
-    stops = np.array([params[f"stop_{groups[a]}"] for a in range(n_assets)])
-
-    pos = raw_pos.copy()
-    entry = np.zeros(n_assets)
-    prev_sign = np.zeros(n_assets)
-    stopped = np.zeros(n_assets, dtype=bool)
-    for t in range(n_days):
-        sign = np.sign(raw_pos[:, t])
-        flipped = sign != prev_sign
-        stopped &= ~flipped
-        entered = flipped & (sign != 0)
-        entry[entered] = prices[entered, t]
-        holding = sign != 0
-        adverse = np.zeros(n_assets)
-        np.divide(prices[:, t], entry, out=adverse, where=entry > 0)
-        with np.errstate(invalid="ignore"):
-            loss = np.where(holding & (entry > 0), -sign * (adverse - 1.0), 0.0)
-        stopped |= holding & (loss > stops)
-        pos[stopped, t] = 0.0
-        prev_sign = sign
-    return pos
+    stops = np.array([params[f"stop_{g}"] for g in np.arange(n_assets) % kind.n_groups])
+    days = np.arange(n_days)
+    sign = np.sign(raw_pos)
+    changed = np.diff(sign, axis=1, prepend=0.0) != 0
+    run_start = np.maximum.accumulate(np.where(changed, days, 0), axis=1)
+    entry = np.take_along_axis(prices, run_start, axis=1)
+    with np.errstate(all="ignore"):  # entry <= 0 never triggers
+        loss = -sign * (prices / entry - 1.0)
+    trigger = (sign != 0) & (entry > 0) & (loss > stops[:, None])
+    last_trigger = np.maximum.accumulate(np.where(trigger, days, -1), axis=1)
+    return np.where(last_trigger >= run_start, 0.0, raw_pos)
 
 
 def run_strategy(kind: StrategyKind, params: Config, prices: PriceSeries) -> np.ndarray:
@@ -326,5 +310,6 @@ def evaluate(kind: StrategyKind, scenario: ScenarioSpec, params: Config) -> Shar
     series = _scenario_cache.get(scenario)
     if series is None:
         series = generate_scenario(scenario)
+        _scenario_cache.clear()  # one market: a sweep over seeds would keep them all
         _scenario_cache[scenario] = series
     return sharpe_annualized(run_strategy(kind, params, series))

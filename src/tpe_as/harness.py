@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise HarnessError(f"unknown method {self.method!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise HarnessError("seeds must be non-empty and distinct")
+        if not isinstance(self.output_dir, str):
+            raise HarnessError(f"output_dir must be a string, got {self.output_dir!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -146,14 +148,30 @@ def _run_cell(config: ExperimentConfig, seed: int):
         return repr(exc)
 
 
+def _finished_cells(config: ExperimentConfig, parallelism: int):
+    """Yield (seed, cell result) in seed order, each once its cell finishes;
+    a cell whose worker process died yields the error's repr, like one that raised."""
+    cell = functools.partial(_run_cell, config)
+    if parallelism <= 1:
+        for seed in config.seeds:
+            yield seed, cell(seed)
+        return
+    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(cell, seed) for seed in config.seeds]
+        for seed, future in zip(config.seeds, futures):
+            exc = future.exception()  # BrokenProcessPool when a worker died
+            yield seed, future.result() if exc is None else repr(exc)
+
+
 def run_experiment(
     config: ExperimentConfig, overwrite: bool = False, parallelism: int = 1
 ) -> int:
     """Run all seeds, persist trial logs, trajectories, and a summary CSV.
 
-    A seed that raises gets a `failed: <repr>` summary row, in serial and
-    parallel runs alike.  Returns a process exit status: 0 iff every run
-    succeeded.
+    Cells are written in seed order as they finish, so a worker that dies
+    loses no finished cell.  A seed that raises, or whose worker process
+    dies, gets a `failed: <repr>` summary row, in serial and parallel runs
+    alike.  Returns a process exit status: 0 iff every run succeeded.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,25 +179,11 @@ def run_experiment(
     if summary_path.exists() and not overwrite:
         raise HarnessError(f"{summary_path} exists; pass overwrite to replace it")
 
-    cell = functools.partial(_run_cell, config)
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            cells = list(pool.map(cell, config.seeds))
-    else:
-        cells = list(map(cell, config.seeds))
-
-    status = 0
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for seed, result in zip(config.seeds, cells):
-            if isinstance(result, str):
-                writer.writerow(
-                    [config.method, config.strategy, config.scenario, seed,
-                     f"failed: {result}", "", "", ""]
-                )
-                status = 1
-                continue
+    rows = []
+    for seed, result in _finished_cells(config, parallelism):
+        if isinstance(result, str):
+            outcome = [f"failed: {result}", "", "", ""]
+        else:
             history, space, step_time = result
             summary = summarize(history)
             name = run_name(config, seed)
@@ -189,11 +193,13 @@ def run_experiment(
                 tw.writerow(["step", "f", "j_score"])
                 for step, f, j, _lam in summary.trajectory:
                     tw.writerow([step, repr(f), repr(j)])
-            writer.writerow(
-                [config.method, config.strategy, config.scenario, seed, "ok",
-                 repr(summary.max_f), repr(summary.variance_f), f"{step_time:.6f}"]
-            )
-    return status
+            outcome = ["ok", repr(summary.max_f), repr(summary.variance_f), f"{step_time:.6f}"]
+        rows.append([config.method, config.strategy, config.scenario, seed] + outcome)
+    with summary_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_HEADER)
+        writer.writerows(rows)
+    return int(any(row[4] != "ok" for row in rows))
 
 
 def summary_from_log(log_path) -> dict:

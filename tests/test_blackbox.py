@@ -1,13 +1,24 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tpe_as.blackbox as bb
 from tpe_as.blackbox import (
+    SCENARIO_HORIZONS,
     BlackboxError,
     PriceSeries,
     ScenarioSpec,
+    StrategyKind,
+    _apply_stop_loss,
+    _raw_positions,
+    _rolling_mean,
+    _rolling_std,
     evaluate,
     generate_scenario,
     run_strategy,
@@ -196,3 +207,198 @@ class TestPresets:
             strategy_preset("momentum_farm")
         with pytest.raises(BlackboxError):
             scenario_preset("sideways_forever")
+
+
+class TestScenarioCache:
+    def test_keeps_only_the_latest_market(self):
+        kind = strategy_preset("trend_following")
+        params = sized_params(kind)
+        for seed in range(3):
+            evaluate(kind, scenario_preset("high_volatility", seed=seed), params)
+        assert list(bb._scenario_cache) == [scenario_preset("high_volatility", seed=2)]
+
+    def test_repeated_spec_generates_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bb, "generate_scenario", lambda spec: calls.append(spec) or generate_scenario(spec))
+        bb._scenario_cache.clear()
+        kind = strategy_preset("trend_following")
+        spec = scenario_preset("high_volatility", seed=11)
+        first = evaluate(kind, spec, sized_params(kind))
+        assert evaluate(kind, spec, sized_params(kind)) == first
+        assert calls == [spec]
+
+
+# The per-day stop-loss loop and the nan-masked positions that the
+# whole-array code replaced, kept verbatim as its oracle.
+def reference_raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray) -> np.ndarray:
+    """Desired position per asset per day, decided from data through that day."""
+    n_assets, n_days = prices.shape
+    pos = np.zeros((n_assets, n_days))
+    groups = np.arange(n_assets) % kind.n_groups
+
+    for g in range(kind.n_groups):
+        mask = groups == g
+        p = prices[mask]
+        if kind.name == "trend_following":
+            fast = int(params[f"fast_{g}"])
+            slow = int(params[f"slow_{g}"])
+            lo, hi = min(fast, slow), max(fast, slow)
+            if lo == hi:
+                continue
+            sig = np.sign(np.nan_to_num(_rolling_mean(p, lo) - _rolling_mean(p, hi)))
+            if params[f"mode_{g}"] == "long_only":
+                sig = np.maximum(sig, 0.0)
+            pos[mask] = sig * params[f"sizing_{g}"]
+        elif kind.name == "mean_reversion":
+            lb = int(params[f"lookback_{g}"])
+            mean = _rolling_mean(p, lb)
+            std = _rolling_std(p, lb)
+            z = np.where(std > 1e-12, (p - mean) / np.where(std > 1e-12, std, 1.0), 0.0)
+            z = np.nan_to_num(z)
+            raw = np.clip(-z / params[f"entry_z_{g}"], -1.0, 1.0)
+            if params[f"mode_{g}"] == "long_only":
+                raw = np.maximum(raw, 0.0)
+            pos[mask] = raw * params[f"sizing_{g}"]
+        else:  # threshold_hybrid
+            lb = int(params[f"mom_lb_{g}"])
+            rsi_lb = int(params[f"rsi_lb_{g}"])
+            mom = np.full_like(p, np.nan)
+            if n_days > lb:
+                mom[:, lb:] = p[:, lb:] / p[:, :-lb] - 1.0
+            diff = np.diff(p, axis=1)
+            gains = _rolling_mean(np.maximum(diff, 0.0), rsi_lb)
+            losses = _rolling_mean(np.maximum(-diff, 0.0), rsi_lb)
+            denom = gains + losses
+            rsi = np.full_like(p, 50.0)
+            valid = np.zeros_like(p, dtype=bool)
+            valid[:, 1:] = ~np.isnan(denom)
+            rsi[:, 1:] = np.where(
+                np.nan_to_num(denom) > 1e-12,
+                100.0 * np.nan_to_num(gains) / np.where(np.nan_to_num(denom) > 1e-12, np.nan_to_num(denom), 1.0),
+                50.0,
+            )
+            th = params[f"mom_th_{g}"]
+            band = params[f"rsi_band_{g}"]
+            long_ok = (np.nan_to_num(mom, nan=-np.inf) > th) & (rsi < 100.0 - band) & valid
+            short_ok = (np.nan_to_num(mom, nan=np.inf) < -th) & (rsi > band) & valid
+            sig = np.where(long_ok, 1.0, np.where(short_ok, -1.0, 0.0))
+            pos[mask] = sig * params[f"sizing_{g}"]
+    return pos
+
+
+def reference_stop_loss(
+    kind: StrategyKind, params: dict, prices: np.ndarray, raw_pos: np.ndarray
+) -> np.ndarray:
+    """Force positions flat after an adverse move beyond the stop level.
+
+    A stop stays engaged until the raw signal changes sign; entry prices are
+    tracked at sign changes.  All decisions use prices through the current day.
+    """
+    n_assets, n_days = prices.shape
+    groups = np.arange(n_assets) % kind.n_groups
+    stops = np.array([params[f"stop_{groups[a]}"] for a in range(n_assets)])
+
+    pos = raw_pos.copy()
+    entry = np.zeros(n_assets)
+    prev_sign = np.zeros(n_assets)
+    stopped = np.zeros(n_assets, dtype=bool)
+    for t in range(n_days):
+        sign = np.sign(raw_pos[:, t])
+        flipped = sign != prev_sign
+        stopped &= ~flipped
+        entered = flipped & (sign != 0)
+        entry[entered] = prices[entered, t]
+        holding = sign != 0
+        adverse = np.zeros(n_assets)
+        np.divide(prices[:, t], entry, out=adverse, where=entry > 0)
+        with np.errstate(invalid="ignore"):
+            loss = np.where(holding & (entry > 0), -sign * (adverse - 1.0), 0.0)
+        stopped |= holding & (loss > stops)
+        pos[stopped, t] = 0.0
+        prev_sign = sign
+    return pos
+
+
+STRATEGIES = ("trend_following", "mean_reversion", "threshold_hybrid")
+
+
+@functools.lru_cache(maxsize=None)
+def market(scenario):
+    return generate_scenario(scenario_preset(scenario, seed=0)).prices
+
+
+def assert_same_bits(new, old):
+    assert np.array_equal(new, old, equal_nan=True)  # returns are nan where a price is 0
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def warning_free(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+def reference_run_strategy(kind, params, series):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(bb, "_raw_positions", reference_raw_positions)
+        mp.setattr(bb, "_apply_stop_loss", reference_stop_loss)
+        return run_strategy(kind, params, series)
+
+
+def assert_matches_reference(kind, params, prices):
+    """Positions, stopped positions and returns are the oracle's, bit for bit."""
+    pdict = params.as_dict(kind.param_space)
+    with np.errstate(all="ignore"):
+        old_raw = reference_raw_positions(kind, pdict, prices)
+        old_pos = reference_stop_loss(kind, pdict, prices, old_raw)
+    raw = warning_free(_raw_positions, kind, pdict, prices)
+    assert_same_bits(raw, old_raw)
+    assert_same_bits(warning_free(_apply_stop_loss, kind, pdict, prices, raw), old_pos)
+    series = PriceSeries(prices)
+    with np.errstate(all="ignore"):  # PriceSeries.returns divides by zero prices
+        returns = run_strategy(kind, params, series)
+    assert_same_bits(returns, reference_run_strategy(kind, params, series))
+
+
+class TestWholeArrayRulesMatchReference:
+    @pytest.mark.parametrize("scenario", SCENARIO_HORIZONS)
+    @pytest.mark.parametrize("name", STRATEGIES)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_configs_on_preset_markets(self, name, scenario, seed):
+        kind = strategy_preset(name)
+        params = sample_uniform(kind.param_space, np.random.default_rng(seed))
+        assert_matches_reference(kind, params, market(scenario))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(STRATEGIES),
+        seed=st.integers(0, 2**32 - 1),
+        n_days=st.integers(1, 130),
+        broken=st.sampled_from([0.0, 0.02, 0.3]),
+    )
+    def test_short_markets_with_zero_and_negative_prices(self, name, seed, n_days, broken):
+        # n_days up to 130 spans every lookback (the longest is slow_g <= 120)
+        rng = np.random.default_rng(seed)
+        kind = strategy_preset(name, n_groups=int(rng.integers(1, 6)))
+        params = sample_uniform(kind.param_space, rng)
+        prices = market("high_volatility")[: int(rng.integers(1, 9)), :n_days].copy()
+        hit = rng.random(prices.shape) < broken
+        prices[hit] *= rng.choice([0.0, -0.0, -1.0], size=int(hit.sum()))
+        assert_matches_reference(kind, params, prices)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_stop_loss_on_signed_zeros_flips_and_bad_prices(self, data):
+        n_groups = data.draw(st.integers(1, 4))
+        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(0, 40)))
+        raw = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])))
+        prices = data.draw(arrays(float, shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0, -3.0, 90.0, 100.0, 110.0]),
+            st.floats(-200.0, 200.0),
+        )))
+        params = {f"stop_{g}": data.draw(st.floats(0.0, 0.5)) for g in range(n_groups)}
+        kind = strategy_preset("threshold_hybrid", n_groups=n_groups)
+        with np.errstate(all="ignore"):
+            expect = reference_stop_loss(kind, params, prices, raw)
+        assert_same_bits(warning_free(_apply_stop_loss, kind, params, prices, raw), expect)

@@ -1,10 +1,13 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from tpe_as import cli
+from tpe_as import cli, harness
 from tpe_as.blackbox import strategy_preset
 from tpe_as.harness import (
     ExperimentConfig,
@@ -35,6 +38,9 @@ MALFORMED_CONFIGS = {
     "not-an-object": "[]",
     "unknown-optimizer-key": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "warmup": 5})),
     "ill-typed-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": "30"})),
+    "fractional-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 30.5})),
+    "fractional-window": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "window": 5.5})),
+    "output-dir-not-a-string": json.dumps(dict(BASE_DOC, output_dir=5)),
     "n_init-not-below-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 5, "n_init": 10})),
     "seeds-not-a-list": json.dumps(dict(BASE_DOC, seeds=3)),
     "unknown-strategy": json.dumps(dict(BASE_DOC, strategy="momentum_carry")),
@@ -90,8 +96,13 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "command, text",
-        [("run", MALFORMED_CONFIGS["ill-typed-budget"]), ("report", json.dumps(BASE_DOC)), ("run", None)],
-        ids=["run-malformed", "report-malformed", "run-missing-file"],
+        [
+            ("run", MALFORMED_CONFIGS["ill-typed-budget"]),
+            ("run", MALFORMED_CONFIGS["fractional-budget"]),
+            ("report", json.dumps(BASE_DOC)),
+            ("run", None),
+        ],
+        ids=["run-malformed", "run-fractional-budget", "report-malformed", "run-missing-file"],
     )
     def test_cli_reports_bad_input_in_one_line(self, tmp_path, capsys, command, text):
         path = tmp_path / "input"
@@ -210,6 +221,34 @@ class TestRunExperiment:
         assert rows[1] == rows[2]
         assert rows[1][1][4] == "ok"
         assert rows[1][2][4].startswith("failed: ")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing stub reaches the workers only by fork",
+    )
+    def test_dead_worker_fails_only_its_seed(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path)
+        out = tmp_path / "out"
+        seed0_log = out / f"trials_{run_name(cfg, 0)}.jsonl"
+        real_run = harness.run
+
+        def run_or_die(opt, blackbox, space):
+            if opt.seed == 1:  # die once seed 0's artifacts are on disk
+                deadline = time.monotonic() + 60
+                while not seed0_log.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(3)
+            return real_run(opt, blackbox, space)
+
+        monkeypatch.setattr(harness, "run", run_or_die)
+        assert run_experiment(cfg, parallelism=2) == 1
+        with (out / "summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["seed"] for row in rows] == ["0", "1"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith("failed: BrokenProcessPool(")
+        assert float(rows[0]["max_f"]) == summary_from_log(seed0_log)["max_f"]
+        assert not (out / f"trials_{run_name(cfg, 1)}.jsonl").exists()
 
 
 class TestReport:

@@ -146,6 +146,13 @@ class TestRun:
         with pytest.raises(OptimizerError):
             OptimizerConfig(budget=10, mode="chaotic")
 
+    @pytest.mark.parametrize(
+        "name, value", [("budget", 30.0), ("n_init", True), ("window", 5.5), ("n_candidates", 8.0)]
+    )
+    def test_rejects_non_int_size(self, name, value):
+        with pytest.raises(OptimizerError, match=f"^{name} must be an int"):
+            OptimizerConfig(**{"budget": 30, name: value})
+
 
 class TestSummarize:
     def test_oracle_values(self, space_2d):
