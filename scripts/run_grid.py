@@ -10,10 +10,8 @@ import argparse
 import json
 from pathlib import Path
 
-from tpe_as.blackbox import SCENARIO_HORIZONS
+from tpe_as.blackbox import SCENARIOS, STRATEGIES
 from tpe_as.harness import METHODS, ExperimentConfig, report, run_experiment
-
-STRATEGIES = ("trend_following", "mean_reversion", "threshold_hybrid")
 
 
 def main() -> int:
@@ -28,7 +26,7 @@ def main() -> int:
     status = 0
     for method in METHODS:
         for strategy in STRATEGIES:
-            for scenario in SCENARIO_HORIZONS:
+            for scenario in SCENARIOS:
                 out = Path(args.output_dir) / f"{method}_{strategy}_{scenario}"
                 config = ExperimentConfig.from_json(
                     json.dumps(

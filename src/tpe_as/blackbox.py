@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,12 +12,42 @@ from .space import Config, ParamDomain, ParamSpace, require_valid
 TRADING_DAYS = 252
 TRANSACTION_COST = 0.0005  # 5 bp per unit of position change
 DEGENERATE_VOL = 1e-12
+N_ASSETS = 20  # in every scenario preset
 
-SCENARIO_HORIZONS = {
-    "high_volatility": 252,
-    "stable_bull": 756,
-    "range_bound_long": 1260,
-    "range_bound_short": 1008,
+# kind -> the (n_days, regimes, switch_rate, mean_rev) of its ScenarioSpec
+SCENARIOS = {
+    # sharp bull / crash / churn regimes: a crisis-like market where
+    # fragile configurations shine briefly and break on the next switch
+    "high_volatility": (252, ((0.90, 0.25), (-1.10, 0.40), (0.10, 0.60)), 6.0, 0.0),
+    "stable_bull": (756, ((0.12, 0.10), (0.09, 0.14)), 1.0, 0.0),
+    "range_bound_long": (1260, ((0.0, 0.18), (0.0, 0.24)), 2.0, 2.0),
+    "range_bound_short": (1008, ((0.0, 0.16), (0.0, 0.22)), 2.0, 2.0),
+}
+
+# name -> one group's domains; group g appends _g to each name
+STRATEGIES = {
+    "trend_following": (
+        ParamDomain("fast", "integer", 2, 30),
+        ParamDomain("slow", "integer", 10, 120),
+        ParamDomain("sizing", "continuous", 0.0, 1.0),
+        ParamDomain("stop", "continuous", 0.02, 0.30),
+        ParamDomain("mode", "categorical", choices=("long_only", "long_short")),
+    ),
+    "mean_reversion": (
+        ParamDomain("lookback", "integer", 5, 60),
+        ParamDomain("entry_z", "continuous", 0.5, 3.0),
+        ParamDomain("sizing", "continuous", 0.0, 1.0),
+        ParamDomain("stop", "continuous", 0.02, 0.30),
+        ParamDomain("mode", "categorical", choices=("long_only", "long_short")),
+    ),
+    "threshold_hybrid": (
+        ParamDomain("mom_lb", "integer", 5, 60),
+        ParamDomain("rsi_lb", "integer", 5, 30),
+        ParamDomain("mom_th", "continuous", 0.0, 0.15),
+        ParamDomain("rsi_band", "continuous", 10.0, 50.0),
+        ParamDomain("sizing", "continuous", 0.0, 1.0),
+        ParamDomain("stop", "continuous", 0.02, 0.30),
+    ),
 }
 
 
@@ -43,15 +73,13 @@ class ScenarioSpec:
     mean_rev: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_HORIZONS:
+        if self.kind not in SCENARIOS:
             raise BlackboxError(f"unknown scenario kind {self.kind!r}")
         if self.n_assets < 1:
             raise BlackboxError("need at least one asset")
-        nominal = SCENARIO_HORIZONS[self.kind]
+        nominal = SCENARIOS[self.kind][0]
         if not 0.9 * nominal <= self.n_days <= 1.1 * nominal:
-            raise BlackboxError(
-                f"{self.kind} horizon must be within 10% of {nominal} days"
-            )
+            raise BlackboxError(f"{self.kind} horizon must be within 10% of {nominal} days")
         if not self.regimes:
             raise BlackboxError("need at least one regime")
 
@@ -71,33 +99,17 @@ class PriceSeries:
 class StrategyKind:
     """A strategy family together with its hyperparameter space."""
 
-    name: str  # trend_following | mean_reversion | threshold_hybrid
+    name: str  # a key of STRATEGIES
     param_space: ParamSpace
     n_groups: int
 
 
-def scenario_preset(kind: str, n_assets: int = 20, seed: int = 0) -> ScenarioSpec:
+def scenario_preset(kind: str, seed: int = 0) -> ScenarioSpec:
     """Build the canonical scenario for one of the four market settings."""
-    n_days = SCENARIO_HORIZONS.get(kind)
-    if n_days is None:
+    if kind not in SCENARIOS:
         raise BlackboxError(f"unknown scenario kind {kind!r}")
-    if kind == "high_volatility":
-        # sharp bull / crash / churn regimes: a crisis-like market where
-        # fragile configurations shine briefly and break on the next switch
-        regimes = ((0.90, 0.25), (-1.10, 0.40), (0.10, 0.60))
-        return ScenarioSpec(kind, n_assets, n_days, seed, regimes, switch_rate=6.0)
-    if kind == "stable_bull":
-        regimes = ((0.12, 0.10), (0.09, 0.14))
-        return ScenarioSpec(kind, n_assets, n_days, seed, regimes, switch_rate=1.0)
-    if kind == "range_bound_long":
-        regimes = ((0.0, 0.18), (0.0, 0.24))
-        return ScenarioSpec(
-            kind, n_assets, n_days, seed, regimes, switch_rate=2.0, mean_rev=2.0
-        )
-    regimes = ((0.0, 0.16), (0.0, 0.22))
-    return ScenarioSpec(
-        "range_bound_short", n_assets, n_days, seed, regimes, switch_rate=2.0, mean_rev=2.0
-    )
+    n_days, regimes, switch_rate, mean_rev = SCENARIOS[kind]
+    return ScenarioSpec(kind, N_ASSETS, n_days, seed, regimes, switch_rate, mean_rev)
 
 
 def generate_scenario(spec: ScenarioSpec) -> PriceSeries:
@@ -141,36 +153,10 @@ def generate_scenario(spec: ScenarioSpec) -> PriceSeries:
 
 def strategy_preset(name: str, n_groups: int = 5) -> StrategyKind:
     """Build a strategy family with per-group replicated hyperparameters."""
-    domains = []
-    for g in range(n_groups):
-        if name == "trend_following":
-            domains += [
-                ParamDomain(f"fast_{g}", "integer", 2, 30),
-                ParamDomain(f"slow_{g}", "integer", 10, 120),
-                ParamDomain(f"sizing_{g}", "continuous", 0.0, 1.0),
-                ParamDomain(f"stop_{g}", "continuous", 0.02, 0.30),
-                ParamDomain(f"mode_{g}", "categorical", choices=("long_only", "long_short")),
-            ]
-        elif name == "mean_reversion":
-            domains += [
-                ParamDomain(f"lookback_{g}", "integer", 5, 60),
-                ParamDomain(f"entry_z_{g}", "continuous", 0.5, 3.0),
-                ParamDomain(f"sizing_{g}", "continuous", 0.0, 1.0),
-                ParamDomain(f"stop_{g}", "continuous", 0.02, 0.30),
-                ParamDomain(f"mode_{g}", "categorical", choices=("long_only", "long_short")),
-            ]
-        elif name == "threshold_hybrid":
-            domains += [
-                ParamDomain(f"mom_lb_{g}", "integer", 5, 60),
-                ParamDomain(f"rsi_lb_{g}", "integer", 5, 30),
-                ParamDomain(f"mom_th_{g}", "continuous", 0.0, 0.15),
-                ParamDomain(f"rsi_band_{g}", "continuous", 10.0, 50.0),
-                ParamDomain(f"sizing_{g}", "continuous", 0.0, 1.0),
-                ParamDomain(f"stop_{g}", "continuous", 0.02, 0.30),
-            ]
-        else:
-            raise BlackboxError(f"unknown strategy {name!r}")
-    return StrategyKind(name=name, param_space=ParamSpace(tuple(domains)), n_groups=n_groups)
+    if name not in STRATEGIES:
+        raise BlackboxError(f"unknown strategy {name!r}")
+    domains = tuple(replace(d, name=f"{d.name}_{g}") for g in range(n_groups) for d in STRATEGIES[name])
+    return StrategyKind(name=name, param_space=ParamSpace(domains), n_groups=n_groups)
 
 
 def _rolling_mean(x: np.ndarray, w: int) -> np.ndarray:

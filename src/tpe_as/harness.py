@@ -152,11 +152,12 @@ def _finished_cells(config: ExperimentConfig, parallelism: int):
     """Yield (seed, cell result) in seed order, each once its cell finishes;
     a cell whose worker process died yields the error's repr, like one that raised."""
     cell = functools.partial(_run_cell, config)
-    if parallelism <= 1:
+    if parallelism == 1:
         for seed in config.seeds:
             yield seed, cell(seed)
         return
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    # a fork pool starts all its workers up front, so start no idle ones
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(config.seeds))) as pool:
         futures = [pool.submit(cell, seed) for seed in config.seeds]
         for seed, future in zip(config.seeds, futures):
             exc = future.exception()  # BrokenProcessPool when a worker died
@@ -173,6 +174,8 @@ def run_experiment(
     dies, gets a `failed: <repr>` summary row, in serial and parallel runs
     alike.  Returns a process exit status: 0 iff every run succeeded.
     """
+    if parallelism < 1:
+        raise HarnessError(f"parallelism must be at least 1, got {parallelism}")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
@@ -191,8 +194,7 @@ def run_experiment(
             with (out / f"traj_{name}.csv").open("w", newline="") as tf:
                 tw = csv.writer(tf)
                 tw.writerow(["step", "f", "j_score"])
-                for step, f, j, _lam in summary.trajectory:
-                    tw.writerow([step, repr(f), repr(j)])
+                tw.writerows([t.step, repr(t.f_value), repr(t.j_score)] for t in history.trials)
             outcome = ["ok", repr(summary.max_f), repr(summary.variance_f), f"{step_time:.6f}"]
         rows.append([config.method, config.strategy, config.scenario, seed] + outcome)
     with summary_path.open("w", newline="") as fh:

@@ -27,8 +27,8 @@ def importance_weight(g_density: float, q_density: float, epsilon: float) -> flo
     """Clipped ratio of target density over proposal density."""
     if g_density <= 0 or q_density <= 0:
         raise ObjectiveError("densities must be positive")
-    if epsilon < 0:
-        raise ObjectiveError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ObjectiveError("epsilon must be finite and nonnegative")
     ratio = g_density / q_density
     return min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
 

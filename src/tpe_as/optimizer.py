@@ -42,7 +42,7 @@ class OptimizerConfig:
             raise OptimizerError("k must lie in (0,1)")
         if self.n_init < 2 or self.n_init >= self.budget:
             raise OptimizerError("need 2 <= n_init < budget")
-        if self.epsilon < 0 or self.window < 2 or self.n_candidates < 1:
+        if not 0 <= self.epsilon < np.inf or self.window < 2 or self.n_candidates < 1:
             raise OptimizerError("bad epsilon/window/n_candidates")
 
 
@@ -51,7 +51,6 @@ class RunSummary:
     max_f: float
     variance_f: float  # population variance of all observed f
     best_config: Config
-    trajectory: tuple  # (step, f, j_score, lambda) rows
 
 
 def run(
@@ -121,12 +120,4 @@ def summarize(history: History) -> RunSummary:
         raise OptimizerError("cannot summarize an empty history")
     fs = np.array([t.f_value for t in history.trials])
     best = history.trials[int(np.argmax(fs))]
-    trajectory = tuple(
-        (t.step, t.f_value, t.j_score, t.lambda_used) for t in history.trials
-    )
-    return RunSummary(
-        max_f=float(fs.max()),
-        variance_f=float(np.var(fs)),
-        best_config=best.config,
-        trajectory=trajectory,
-    )
+    return RunSummary(max_f=float(fs.max()), variance_f=float(np.var(fs)), best_config=best.config)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tpe_as.blackbox as bb
+from tpe_as import cli
 from tpe_as.blackbox import (
-    SCENARIO_HORIZONS,
+    SCENARIOS,
+    STRATEGIES,
     BlackboxError,
     PriceSeries,
     ScenarioSpec,
@@ -26,7 +28,7 @@ from tpe_as.blackbox import (
     sharpe_annualized,
     strategy_preset,
 )
-from tpe_as.space import Config, sample_uniform
+from tpe_as.space import Config, ParamDomain, ParamSpace, sample_uniform
 
 
 def flat_params(kind, **overrides):
@@ -65,7 +67,7 @@ class TestGenerateScenario:
     def test_stable_bull_mostly_positive(self):
         positive = 0
         for seed in range(20):
-            series = generate_scenario(scenario_preset("stable_bull", n_assets=20, seed=seed))
+            series = generate_scenario(scenario_preset("stable_bull", seed=seed))
             total = series.prices[:, -1] / series.prices[:, 0]
             ann = total ** (252 / (series.prices.shape[1] - 1)) - 1
             if ann.mean() > 0:
@@ -88,14 +90,14 @@ class TestGenerateScenario:
 
 
 class TestRunStrategy:
-    @pytest.mark.parametrize("name", ["trend_following", "mean_reversion", "threshold_hybrid"])
+    @pytest.mark.parametrize("name", STRATEGIES)
     def test_zero_sizing_means_zero_returns(self, name):
         kind = strategy_preset(name)
         prices = generate_scenario(scenario_preset("high_volatility", seed=0))
         returns = run_strategy(kind, sized_params(kind, sizing=0.0), prices)
         assert np.allclose(returns, 0.0)
 
-    @pytest.mark.parametrize("name", ["trend_following", "mean_reversion", "threshold_hybrid"])
+    @pytest.mark.parametrize("name", STRATEGIES)
     def test_no_lookahead(self, name):
         kind = strategy_preset(name)
         rng = np.random.default_rng(7)
@@ -198,7 +200,7 @@ class TestEvaluate:
 
 
 class TestPresets:
-    @pytest.mark.parametrize("name", ["trend_following", "mean_reversion", "threshold_hybrid"])
+    @pytest.mark.parametrize("name", STRATEGIES)
     def test_dimension_at_least_25(self, name):
         assert strategy_preset(name).param_space.m >= 25
 
@@ -207,6 +209,102 @@ class TestPresets:
             strategy_preset("momentum_farm")
         with pytest.raises(BlackboxError):
             scenario_preset("sideways_forever")
+
+
+# The if-chain presets that the SCENARIOS and STRATEGIES tables replaced,
+# kept verbatim (with the horizon table they read) as the tables' oracle.
+SCENARIO_HORIZONS = {
+    "high_volatility": 252,
+    "stable_bull": 756,
+    "range_bound_long": 1260,
+    "range_bound_short": 1008,
+}
+
+
+def reference_scenario_preset(kind: str, n_assets: int = 20, seed: int = 0) -> ScenarioSpec:
+    """Build the canonical scenario for one of the four market settings."""
+    n_days = SCENARIO_HORIZONS.get(kind)
+    if n_days is None:
+        raise BlackboxError(f"unknown scenario kind {kind!r}")
+    if kind == "high_volatility":
+        # sharp bull / crash / churn regimes: a crisis-like market where
+        # fragile configurations shine briefly and break on the next switch
+        regimes = ((0.90, 0.25), (-1.10, 0.40), (0.10, 0.60))
+        return ScenarioSpec(kind, n_assets, n_days, seed, regimes, switch_rate=6.0)
+    if kind == "stable_bull":
+        regimes = ((0.12, 0.10), (0.09, 0.14))
+        return ScenarioSpec(kind, n_assets, n_days, seed, regimes, switch_rate=1.0)
+    if kind == "range_bound_long":
+        regimes = ((0.0, 0.18), (0.0, 0.24))
+        return ScenarioSpec(
+            kind, n_assets, n_days, seed, regimes, switch_rate=2.0, mean_rev=2.0
+        )
+    regimes = ((0.0, 0.16), (0.0, 0.22))
+    return ScenarioSpec(
+        "range_bound_short", n_assets, n_days, seed, regimes, switch_rate=2.0, mean_rev=2.0
+    )
+
+
+def reference_strategy_preset(name: str, n_groups: int = 5) -> StrategyKind:
+    """Build a strategy family with per-group replicated hyperparameters."""
+    domains = []
+    for g in range(n_groups):
+        if name == "trend_following":
+            domains += [
+                ParamDomain(f"fast_{g}", "integer", 2, 30),
+                ParamDomain(f"slow_{g}", "integer", 10, 120),
+                ParamDomain(f"sizing_{g}", "continuous", 0.0, 1.0),
+                ParamDomain(f"stop_{g}", "continuous", 0.02, 0.30),
+                ParamDomain(f"mode_{g}", "categorical", choices=("long_only", "long_short")),
+            ]
+        elif name == "mean_reversion":
+            domains += [
+                ParamDomain(f"lookback_{g}", "integer", 5, 60),
+                ParamDomain(f"entry_z_{g}", "continuous", 0.5, 3.0),
+                ParamDomain(f"sizing_{g}", "continuous", 0.0, 1.0),
+                ParamDomain(f"stop_{g}", "continuous", 0.02, 0.30),
+                ParamDomain(f"mode_{g}", "categorical", choices=("long_only", "long_short")),
+            ]
+        elif name == "threshold_hybrid":
+            domains += [
+                ParamDomain(f"mom_lb_{g}", "integer", 5, 60),
+                ParamDomain(f"rsi_lb_{g}", "integer", 5, 30),
+                ParamDomain(f"mom_th_{g}", "continuous", 0.0, 0.15),
+                ParamDomain(f"rsi_band_{g}", "continuous", 10.0, 50.0),
+                ParamDomain(f"sizing_{g}", "continuous", 0.0, 1.0),
+                ParamDomain(f"stop_{g}", "continuous", 0.02, 0.30),
+            ]
+        else:
+            raise BlackboxError(f"unknown strategy {name!r}")
+    return StrategyKind(name=name, param_space=ParamSpace(tuple(domains)), n_groups=n_groups)
+
+
+class TestPresetTablesMatchReference:
+    def test_tables_name_the_paper_settings(self):
+        assert list(SCENARIOS) == list(SCENARIO_HORIZONS)
+        assert list(STRATEGIES) == ["trend_following", "mean_reversion", "threshold_hybrid"]
+
+    @pytest.mark.parametrize("n_groups", range(1, 6))
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_strategy(self, name, n_groups):
+        new, old = strategy_preset(name, n_groups), reference_strategy_preset(name, n_groups)
+        assert new == old
+        # 2 == 2.0, so equality alone would hide an int -> float bound
+        assert [(type(d.lo), type(d.hi)) for d in new.param_space.domains] == [
+            (type(d.lo), type(d.hi)) for d in old.param_space.domains
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**32 - 1])
+    @pytest.mark.parametrize("kind", SCENARIOS)
+    def test_scenario(self, kind, seed):
+        new, old = scenario_preset(kind, seed=seed), reference_scenario_preset(kind, seed=seed)
+        assert new == old
+        assert repr(new) == repr(old)  # repr tells 6 from 6.0, as == does not
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_show_space_prints_reference_space(self, capsys, name):
+        assert cli.main(["show-space", name]) == 0
+        assert capsys.readouterr().out == reference_strategy_preset(name).param_space.to_json() + "\n"
 
 
 class TestScenarioCache:
@@ -319,9 +417,6 @@ def reference_stop_loss(
     return pos
 
 
-STRATEGIES = ("trend_following", "mean_reversion", "threshold_hybrid")
-
-
 @functools.lru_cache(maxsize=None)
 def market(scenario):
     return generate_scenario(scenario_preset(scenario, seed=0)).prices
@@ -361,7 +456,7 @@ def assert_matches_reference(kind, params, prices):
 
 
 class TestWholeArrayRulesMatchReference:
-    @pytest.mark.parametrize("scenario", SCENARIO_HORIZONS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("name", STRATEGIES)
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -372,7 +467,7 @@ class TestWholeArrayRulesMatchReference:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        name=st.sampled_from(STRATEGIES),
+        name=st.sampled_from(list(STRATEGIES)),
         seed=st.integers(0, 2**32 - 1),
         n_days=st.integers(1, 130),
         broken=st.sampled_from([0.0, 0.02, 0.3]),

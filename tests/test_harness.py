@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -40,6 +42,8 @@ MALFORMED_CONFIGS = {
     "ill-typed-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": "30"})),
     "fractional-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 30.5})),
     "fractional-window": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "window": 5.5})),
+    "epsilon-nan": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "epsilon": math.nan})),
+    "epsilon-infinity": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "epsilon": math.inf})),
     "output-dir-not-a-string": json.dumps(dict(BASE_DOC, output_dir=5)),
     "n_init-not-below-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 5, "n_init": 10})),
     "seeds-not-a-list": json.dumps(dict(BASE_DOC, seeds=3)),
@@ -97,19 +101,27 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "command, text",
         [
-            ("run", MALFORMED_CONFIGS["ill-typed-budget"]),
-            ("run", MALFORMED_CONFIGS["fractional-budget"]),
-            ("report", json.dumps(BASE_DOC)),
-            ("run", None),
+            (["run"], MALFORMED_CONFIGS["ill-typed-budget"]),
+            (["run"], MALFORMED_CONFIGS["fractional-budget"]),
+            (["report"], json.dumps(BASE_DOC)),
+            (["run"], None),
+            (["run", "--parallelism", "0"], json.dumps(BASE_DOC)),
         ],
-        ids=["run-malformed", "run-fractional-budget", "report-malformed", "run-missing-file"],
+        ids=[
+            "run-malformed",
+            "run-fractional-budget",
+            "report-malformed",
+            "run-missing-file",
+            "run-parallelism-0",
+        ],
     )
-    def test_cli_reports_bad_input_in_one_line(self, tmp_path, capsys, command, text):
+    def test_cli_reports_bad_input_in_one_line(self, tmp_path, monkeypatch, capsys, command, text):
+        monkeypatch.chdir(tmp_path)  # a config without output_dir writes to ./out
         path = tmp_path / "input"
         if text is not None:
             path.write_text(text)
         with pytest.raises(SystemExit) as exit_info:
-            cli.main([command, str(path)])
+            cli.main(command + [str(path)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("tpe-as: error: ")
@@ -160,6 +172,43 @@ class TestRunExperiment:
         assert (out / "summary.csv").exists()
         assert len(list(out.glob("trials_*.jsonl"))) == 2
         assert len(list(out.glob("traj_*.csv"))) == 2
+
+    def test_trajectory_csv_rows_come_from_trial_log(self, tmp_path):
+        cfg = make_config(tmp_path, seeds=[0])
+        assert run_experiment(cfg) == 0
+        out = tmp_path / "out"
+        name = run_name(cfg, 0)
+        trials = [json.loads(line) for line in (out / f"trials_{name}.jsonl").read_text().splitlines()]
+        with (out / f"traj_{name}.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "f", "j_score"]
+        assert rows[1:] == [[str(t["step"]), repr(t["f"]), repr(t["j_score"])] for t in trials]
+        assert any(t["f"] != t["j_score"] for t in trials)  # the columns are told apart
+
+    @pytest.mark.parametrize("parallelism, workers", [(2, 2), (3, 3), (64, 3)])
+    def test_pool_has_no_more_workers_than_seeds(self, tmp_path, monkeypatch, parallelism, workers):
+        started = []
+
+        class InlinePool:  # records its size and runs each cell at once, in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = make_config(tmp_path, optimizer={"budget": 12, "n_init": 10}, seeds=[0, 1, 2])
+        assert run_experiment(cfg, parallelism=parallelism) == 0
+        assert started == [workers]
+        assert len(list((tmp_path / "out").glob("trials_*.jsonl"))) == 3
 
     def test_refuses_overwrite_by_default(self, tmp_path):
         cfg = make_config(tmp_path)

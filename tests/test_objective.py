@@ -64,6 +64,12 @@ class TestImportanceWeight:
         with pytest.raises(ObjectiveError):
             importance_weight(0.0, 1.0, 0.2)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
+    def test_rejects_epsilon_outside_finite_nonnegative(self, epsilon):
+        # a nan or infinite epsilon would switch the clipping off
+        with pytest.raises(ObjectiveError, match="epsilon"):
+            importance_weight(5.0, 1.0, epsilon)
+
 
 def _history_of(space, entries):
     history = History()

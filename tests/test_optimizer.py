@@ -180,13 +180,6 @@ class TestSummarize:
         summary = summarize(history)
         assert summary.variance_f == 0.0
 
-    def test_trajectory_projection(self, space_2d):
-        opt = OptimizerConfig(budget=25, n_init=10, seed=7)
-        history = run(opt, quadratic, space_2d)
-        summary = summarize(history)
-        assert [row[1] for row in summary.trajectory] == [t.f_value for t in history.trials]
-        assert len(summary.trajectory) == 25
-
     def test_empty_history_rejected(self):
         with pytest.raises(OptimizerError):
             summarize(History())
