@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .blackbox import strategy_preset
+from .blackbox import BlackboxError, strategy_preset
 from .harness import ExperimentConfig, HarnessError, report, run_experiment
 
 
@@ -40,10 +40,10 @@ def main(argv=None) -> int:
         if args.command == "report":
             print(report(args.summary))
             return 0
-    except (HarnessError, OSError) as exc:
+        print(strategy_preset(args.strategy).param_space.to_json())
+        return 0
+    except (BlackboxError, HarnessError, OSError) as exc:
         parser.error(str(exc))  # one line and exit status 2, not a traceback
-    print(strategy_preset(args.strategy).param_space.to_json())
-    return 0
 
 
 if __name__ == "__main__":

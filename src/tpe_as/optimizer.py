@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .objective import build_g_model, lagrangian_score, lambda_schedule, windowed_variance
-from .space import Config, ParamSpace, sample_uniform, uniform_density
+from .space import Config, ParamSpace, require_valid, sample_uniform, uniform_density
 from .surrogate import History, TrialRecord, propose_next
 
 FAILURE_FLAG = "blackbox_failure"
@@ -81,6 +81,7 @@ def run(
             q = u_density
         else:
             config, q = propose(history, space, opt.k, opt.n_candidates, rng)
+        require_valid(space, config)  # SpaceError: a bad proposal is no black-box failure
 
         try:
             result = blackbox(config)

@@ -73,6 +73,7 @@ class KdeModel:
     n_components: int
     trunc_mass: dict = field(default_factory=dict, compare=False)  # continuous dim -> per-component mass
     lattice_pmf: dict = field(default_factory=dict, compare=False)  # integer dim -> (n_comp, lattice) pmf
+    cdfs: dict = field(default_factory=dict, compare=False)  # integer/categorical dim -> cdf, first draw
 
 
 def rank_top(history: History, k: float, score):
@@ -95,12 +96,11 @@ def split_history(history: History, k: float):
     return sorted(ranked[:n_good], key=step), sorted(ranked[n_good:], key=step)
 
 
-def _scott_bandwidth(values: np.ndarray, n_numeric: int, width: float) -> float:
-    sigma = float(np.std(values))
-    bw = sigma * len(values) ** (-1.0 / (n_numeric + 4))
+def _scott_bandwidth(sigma: float, n: int, n_numeric: int, width: float) -> float:
+    bw = sigma * n ** (-1.0 / (n_numeric + 4))
     # adaptive minimum keeps proposals diverse when members coincide; without
     # it the search freezes on whatever point the good group collapses to
-    magic_clip = width / min(100, len(values) + 1)
+    magic_clip = width / min(100, n + 1)
     return max(bw, magic_clip, BANDWIDTH_FLOOR_FRAC * width)
 
 
@@ -108,22 +108,19 @@ def fit_kde(members, space: ParamSpace) -> KdeModel:
     """Fit a Parzen density with one component per member config."""
     if not members:
         raise SurrogateError("cannot fit a KDE on zero members")
-    for cfg in members:
-        require_valid(space, cfg)
+    require_valid(space, *members)
 
-    n_numeric = sum(1 for d in space.domains if d.is_numeric)
-    centers = []
-    bandwidths = {}
-    tables = {}
-    trunc_mass = {}
-    lattice_pmf = {}
+    n = len(members)
+    columns = list(zip(*(cfg.values for cfg in members)))
+    numeric = [i for i, d in enumerate(space.domains) if d.is_numeric]
+    block = np.array([columns[i] for i in numeric], dtype=float).reshape(len(numeric), n)
+    rows = iter(zip(block, np.std(block, axis=1).tolist()))
+    centers, bandwidths, tables, trunc_mass, lattice_pmf = [], {}, {}, {}, {}
     for i, d in enumerate(space.domains):
-        col = [cfg.values[i] for cfg in members]
         if d.is_numeric:
-            arr = np.asarray(col, dtype=float)
+            arr, sigma = next(rows)
             centers.append(arr)
-            bw = _scott_bandwidth(arr, n_numeric, d.width())
-            bandwidths[i] = bw
+            bandwidths[i] = bw = _scott_bandwidth(sigma, n, len(numeric), d.width())
             if d.kind == "continuous":
                 hi_mass = erf((d.hi - arr) / (bw * SQRT2))
                 lo_mass = erf((d.lo - arr) / (bw * SQRT2))
@@ -135,7 +132,7 @@ def fit_kde(members, space: ParamSpace) -> KdeModel:
                 lattice_pmf[i] = w / w.sum(axis=1, keepdims=True)
         else:
             centers.append(None)
-            counts = np.array([col.count(c) for c in d.choices], dtype=float)
+            counts = np.array([columns[i].count(c) for c in d.choices], dtype=float)
             empirical = counts / counts.sum()
             uniform = np.full(len(d.choices), 1.0 / len(d.choices))
             tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
@@ -144,7 +141,7 @@ def fit_kde(members, space: ParamSpace) -> KdeModel:
         centers=tuple(centers),
         bandwidths=bandwidths,
         categorical_tables=tables,
-        n_components=len(members),
+        n_components=n,
         trunc_mass=trunc_mass,
         lattice_pmf=lattice_pmf,
     )
@@ -157,12 +154,10 @@ def density(model: KdeModel, configs) -> np.ndarray:
     dimension at a time in dimension order and averaged over components, so
     each entry equals a one-config call bit for bit.
     """
-    for cfg in configs:
-        require_valid(model.space, cfg)
+    require_valid(model.space, *configs)
     per_component = np.ones((len(configs), model.n_components))
     categorical_factor = np.ones(len(configs))
-    for i, d in enumerate(model.space.domains):
-        col = [cfg.values[i] for cfg in configs]
+    for i, (d, col) in enumerate(zip(model.space.domains, zip(*(c.values for c in configs)))):
         if d.kind == "continuous":
             bw = model.bandwidths[i]
             z = (np.array(col, dtype=float)[:, None] - model.centers[i]) / bw
@@ -185,6 +180,11 @@ def acquisition(good_model: KdeModel, bad_model: KdeModel, configs) -> np.ndarra
 
 def sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
     """Draw one config: pick a component uniformly, then sample each kernel."""
+    cdfs = model.cdfs  # built as Generator.choice builds them: same index, same RNG state
+    if not cdfs:  # only a sampled model pays for them
+        for i, pmf in (*model.lattice_pmf.items(), *model.categorical_tables.items()):
+            cdfs[i] = pmf.cumsum(axis=-1)
+            cdfs[i] /= cdfs[i][..., -1:]
     comp = int(rng.integers(model.n_components))
     values = []
     for i, d in enumerate(model.space.domains):
@@ -199,11 +199,9 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
                 x = min(max(center, d.lo), d.hi)
             values.append(float(x))
         elif d.kind == "integer":
-            pmf = model.lattice_pmf[i][comp]
-            values.append(int(d.lo) + int(rng.choice(len(pmf), p=pmf)))
+            values.append(int(d.lo) + int(cdfs[i][comp].searchsorted(rng.random(), side="right")))
         else:
-            table = model.categorical_tables[i]
-            values.append(d.choices[int(rng.choice(len(table), p=table))])
+            values.append(d.choices[int(cdfs[i].searchsorted(rng.random(), side="right"))])
     return Config(tuple(values))
 
 

@@ -99,13 +99,14 @@ class TestConfigParsing:
         assert cfg.optimizer.seed == 0
 
     @pytest.mark.parametrize(
-        "command, text",
+        "argv, text",
         [
-            (["run"], MALFORMED_CONFIGS["ill-typed-budget"]),
-            (["run"], MALFORMED_CONFIGS["fractional-budget"]),
-            (["report"], json.dumps(BASE_DOC)),
-            (["run"], None),
-            (["run", "--parallelism", "0"], json.dumps(BASE_DOC)),
+            (["run", "input"], MALFORMED_CONFIGS["ill-typed-budget"]),
+            (["run", "input"], MALFORMED_CONFIGS["fractional-budget"]),
+            (["report", "input"], json.dumps(BASE_DOC)),
+            (["run", "input"], None),
+            (["run", "--parallelism", "0", "input"], json.dumps(BASE_DOC)),
+            (["show-space", "momentum_farm"], None),
         ],
         ids=[
             "run-malformed",
@@ -113,18 +114,19 @@ class TestConfigParsing:
             "report-malformed",
             "run-missing-file",
             "run-parallelism-0",
+            "show-space-unknown",
         ],
     )
-    def test_cli_reports_bad_input_in_one_line(self, tmp_path, monkeypatch, capsys, command, text):
-        monkeypatch.chdir(tmp_path)  # a config without output_dir writes to ./out
-        path = tmp_path / "input"
+    def test_cli_reports_bad_input_in_one_line(self, tmp_path, monkeypatch, capsys, argv, text):
+        monkeypatch.chdir(tmp_path)  # "input" is read, and a config without output_dir writes, here
         if text is not None:
-            path.write_text(text)
+            (tmp_path / "input").write_text(text)
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(command + [str(path)])
+            cli.main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("tpe-as: error: ")
+        assert sum(line.startswith("tpe-as: error: ") for line in err.splitlines()) == 1
         assert "Traceback" not in err
 
 

@@ -16,7 +16,7 @@ from tpe_as.optimizer import (
     run,
     summarize,
 )
-from tpe_as.space import Config, ParamDomain, ParamSpace
+from tpe_as.space import Config, ParamDomain, ParamSpace, SpaceError
 from tpe_as.surrogate import History
 
 
@@ -78,6 +78,23 @@ class TestRun:
         assert FAILURE_FLAG in failed.flags
         clean = runner(opt, quadratic, space_2d)
         assert history.trials[:14] == clean.trials[:14]
+
+    def test_out_of_domain_proposal_stops_run(self, space_2d):
+        # the lenient blackbox would score the stray point and the log would
+        # hold a config that history_from_jsonl rejects; the run refuses it
+        scored = []
+
+        def stray(history, space, k, n_candidates, rng):
+            return Config((-999.0, 0.5)), 1.0
+
+        def lenient(cfg):
+            scored.append(cfg)
+            return quadratic(cfg)
+
+        opt = OptimizerConfig(budget=25, mode="conventional", n_init=10, seed=0)
+        with pytest.raises(SpaceError, match=r"^x1: value -999\.0 outside continuous domain$"):
+            run(opt, lenient, space_2d, propose=stray)
+        assert len(scored) == 10  # the warm-up only
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -1,16 +1,25 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import random_space
+from tpe_as import blackbox, cli, objective, optimizer, surrogate
+from tpe_as.blackbox import STRATEGIES, strategy_preset
 from tpe_as.space import Config, ParamDomain, ParamSpace, SpaceError, require_valid, sample_uniform
 from tpe_as.surrogate import (
+    BANDWIDTH_FLOOR_FRAC,
+    CATEGORICAL_FLOOR,
     DENSITY_FLOOR,
+    MAX_REJECTION_TRIES,
+    SQRT2,
     SQRT2PI,
     History,
+    KdeModel,
     SurrogateError,
     TrialRecord,
     acquisition,
@@ -263,3 +272,245 @@ class TestProposeNext:
             if 0.3 <= cfg.values[0] <= 0.7:
                 hits += 1
         assert hits >= 90
+
+
+# The per-config validator, the rng.choice sampler and the per-column fit that
+# the fast path replaced, kept verbatim as its oracles: trial logs depend on
+# every draw, every bit of every bandwidth, and every SpaceError message.
+
+
+def reference_require_valid(space: ParamSpace, config: Config) -> None:
+    """Raise SpaceError naming every coordinate of config outside its domain."""
+    if len(config.values) != space.m:
+        raise SpaceError(f"<space>: expected {space.m} values, got {len(config.values)}")
+    bad = [
+        f"{d.name}: value {v!r} outside {d.kind} domain"
+        for d, v in zip(space.domains, config.values)
+        if not d.contains(v)
+    ]
+    if bad:
+        raise SpaceError("; ".join(bad))
+
+
+def reference_scott_bandwidth(values: np.ndarray, n_numeric: int, width: float) -> float:
+    sigma = float(np.std(values))
+    bw = sigma * len(values) ** (-1.0 / (n_numeric + 4))
+    # adaptive minimum keeps proposals diverse when members coincide; without
+    # it the search freezes on whatever point the good group collapses to
+    magic_clip = width / min(100, len(values) + 1)
+    return max(bw, magic_clip, BANDWIDTH_FLOOR_FRAC * width)
+
+
+def reference_fit_kde(members, space: ParamSpace) -> KdeModel:
+    """Fit a Parzen density with one component per member config."""
+    if not members:
+        raise SurrogateError("cannot fit a KDE on zero members")
+    for cfg in members:
+        reference_require_valid(space, cfg)
+
+    n_numeric = sum(1 for d in space.domains if d.is_numeric)
+    centers = []
+    bandwidths = {}
+    tables = {}
+    trunc_mass = {}
+    lattice_pmf = {}
+    for i, d in enumerate(space.domains):
+        col = [cfg.values[i] for cfg in members]
+        if d.is_numeric:
+            arr = np.asarray(col, dtype=float)
+            centers.append(arr)
+            bw = reference_scott_bandwidth(arr, n_numeric, d.width())
+            bandwidths[i] = bw
+            if d.kind == "continuous":
+                hi_mass = erf((d.hi - arr) / (bw * SQRT2))
+                lo_mass = erf((d.lo - arr) / (bw * SQRT2))
+                trunc_mass[i] = 0.5 * (hi_mass - lo_mass)
+            else:
+                lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
+                z = (lattice[None, :] - arr[:, None]) / bw
+                w = np.exp(-0.5 * z * z)
+                lattice_pmf[i] = w / w.sum(axis=1, keepdims=True)
+        else:
+            centers.append(None)
+            counts = np.array([col.count(c) for c in d.choices], dtype=float)
+            empirical = counts / counts.sum()
+            uniform = np.full(len(d.choices), 1.0 / len(d.choices))
+            tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
+    return KdeModel(
+        space=space,
+        centers=tuple(centers),
+        bandwidths=bandwidths,
+        categorical_tables=tables,
+        n_components=len(members),
+        trunc_mass=trunc_mass,
+        lattice_pmf=lattice_pmf,
+    )
+
+
+def reference_sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
+    """Draw one config: pick a component uniformly, then sample each kernel."""
+    comp = int(rng.integers(model.n_components))
+    values = []
+    for i, d in enumerate(model.space.domains):
+        if d.kind == "continuous":
+            center = model.centers[i][comp]
+            bw = model.bandwidths[i]
+            for _ in range(MAX_REJECTION_TRIES):
+                x = rng.normal(center, bw)
+                if d.lo <= x <= d.hi:
+                    break
+            else:
+                x = min(max(center, d.lo), d.hi)
+            values.append(float(x))
+        elif d.kind == "integer":
+            pmf = model.lattice_pmf[i][comp]
+            values.append(int(d.lo) + int(rng.choice(len(pmf), p=pmf)))
+        else:
+            table = model.categorical_tables[i]
+            values.append(d.choices[int(rng.choice(len(table), p=table))])
+    return Config(tuple(values))
+
+
+def reference_validate_batch(space, *configs):
+    for config in configs:
+        reference_require_valid(space, config)
+
+
+def space_and_members(seed, strategy):
+    """A random space (or a strategy's), and 1-58 members, some repeated so
+    that coincident members give zero sigma and near one-hot lattice pmfs."""
+    rng = np.random.default_rng(seed)
+    space = strategy_preset(strategy).param_space if strategy else random_space(rng, max_dims=30)
+    members = [sample_uniform(space, rng) for _ in range(int(rng.integers(1, 30)))]
+    members += [members[int(i)] for i in rng.integers(len(members), size=rng.integers(0, 30))]
+    return space, members
+
+
+def space_error(validate, space, configs):
+    """The SpaceError message validate raises for configs, or None."""
+    try:
+        validate(space, *configs)
+    except SpaceError as exc:
+        return str(exc)
+    return None
+
+
+# Values to plant in a config; each maps (domain, a valid value) to a value
+# that is valid or not depending on the domain.
+ODD_VALUES = {
+    "true": lambda d, v: True,
+    "false": lambda d, v: False,
+    "np-int64": lambda d, v: np.int64(round(v)) if d.is_numeric else np.int64(1),
+    "np-float64": lambda d, v: np.float64(v) if d.is_numeric else np.float64(1.0),
+    "whole-float": lambda d, v: float(round(v)) if d.is_numeric else 3.0,
+    "lo": lambda d, v: d.lo if d.is_numeric else d.choices[0],
+    "hi": lambda d, v: d.hi if d.is_numeric else d.choices[-1],
+    "int-lo": lambda d, v: int(d.lo) if d.is_numeric else 0,
+    "below": lambda d, v: d.lo - 1 if d.is_numeric else "c-1",
+    "nan": lambda d, v: float("nan"),
+    "inf": lambda d, v: float("inf"),
+    "-inf": lambda d, v: float("-inf"),
+    "huge": lambda d, v: 10**400,
+    "-huge": lambda d, v: -(10**400),
+    "unknown-label": lambda d, v: "zz",
+    "unhashable": lambda d, v: [v],
+    "np-str": lambda d, v: np.str_(v) if isinstance(v, str) else np.str_("c0"),
+}
+
+
+class TestFastPathMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
+    def test_draws_match_rng_choice(self, seed, strategy):
+        space, members = space_and_members(seed, strategy)
+        model = fit_kde(members, space)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert sample_from_kde(model, fast) == reference_sample_from_kde(model, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
+    def test_fit_matches_per_column_fit(self, seed, strategy):
+        space, members = space_and_members(seed, strategy)
+        model, reference = fit_kde(members, space), reference_fit_kde(members, space)
+        numeric = [i for i, d in enumerate(space.domains) if d.is_numeric]
+        per_column = [
+            reference_scott_bandwidth(
+                np.asarray([c.values[i] for c in members], dtype=float),
+                len(numeric),
+                space.domains[i].width(),
+            )
+            for i in numeric
+        ]
+        assert np.array_equal([model.bandwidths[i] for i in numeric], per_column)
+        assert list(model.bandwidths) == list(reference.bandwidths)
+        for mine, theirs in zip(model.centers, reference.centers):
+            assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
+        for mine, theirs in [
+            (model.trunc_mass, reference.trunc_mass),
+            (model.lattice_pmf, reference.lattice_pmf),
+            (model.categorical_tables, reference.categorical_tables),
+        ]:
+            assert list(mine) == list(theirs)
+            assert all(np.array_equal(mine[i], theirs[i]) for i in theirs)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_configs=st.integers(1, 6),
+        plants=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 29), st.sampled_from(sorted(ODD_VALUES))),
+            max_size=3,
+        ),
+        resize=st.sampled_from([None, None, None, (0, -1), (5, 1)]),
+    )
+    def test_validator_matches_per_config(self, seed, n_configs, plants, resize):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng, max_dims=6)
+        valid = [sample_uniform(space, rng).values for _ in range(n_configs)]
+        rows = [list(values) for values in valid]
+        for row, dim, name in plants:
+            row, dim = row % n_configs, dim % space.m
+            rows[row][dim] = ODD_VALUES[name](space.domains[dim], valid[row][dim])
+        if resize:  # one config one value short or long
+            row, step = resize
+            rows[row % n_configs] = rows[row % n_configs][:step] if step < 0 else rows[row % n_configs] * 2
+        batch = [Config(tuple(row)) for row in rows]
+        assert space_error(require_valid, space, batch) == space_error(
+            reference_validate_batch, space, batch
+        )
+        for config in batch:
+            assert space_error(require_valid, space, [config]) == space_error(
+                reference_validate_batch, space, [config]
+            )
+
+    @pytest.mark.parametrize(
+        "method, strategy, scenario",
+        [
+            ("tpe_as", "threshold_hybrid", "high_volatility"),
+            ("tpe_conventional", "trend_following", "stable_bull"),
+        ],
+    )
+    def test_whole_loop_writes_same_log(self, tmp_path, monkeypatch, method, strategy, scenario):
+        def trial_log(name):
+            doc = {
+                "method": method,
+                "strategy": strategy,
+                "scenario": scenario,
+                "optimizer": {"budget": 60},
+                "seeds": [0],
+                "output_dir": str(tmp_path / name),
+            }
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            assert cli.main(["run", str(tmp_path / f"{name}.json")]) == 0
+            (log,) = (tmp_path / name).glob("*.jsonl")
+            return log.read_bytes()
+
+        fast = trial_log("fast")
+        for namespace in (surrogate, optimizer, blackbox):
+            monkeypatch.setattr(namespace, "require_valid", reference_validate_batch)
+        monkeypatch.setattr(surrogate, "fit_kde", reference_fit_kde)
+        monkeypatch.setattr(objective, "fit_kde", reference_fit_kde)
+        monkeypatch.setattr(surrogate, "sample_from_kde", reference_sample_from_kde)
+        assert trial_log("reference") == fast
