@@ -9,7 +9,7 @@ import numpy as np
 
 from .objective import build_g_model, lagrangian_score, lambda_schedule, windowed_variance
 from .space import Config, ParamSpace, require_valid, sample_uniform, uniform_density
-from .surrogate import History, TrialRecord, propose_next
+from .surrogate import History, TrialRecord, propose_next, top_count
 
 FAILURE_FLAG = "blackbox_failure"
 DEGENERATE_FLAG = "degenerate_volatility"
@@ -40,8 +40,8 @@ class OptimizerConfig:
             raise OptimizerError(f"unknown mode {self.mode!r}")
         if not 0 < self.k < 1:
             raise OptimizerError("k must lie in (0,1)")
-        if self.n_init < 2 or self.n_init >= self.budget:
-            raise OptimizerError("need 2 <= n_init < budget")
+        if not top_count(self.n_init, self.k) < self.n_init < self.budget:  # a bad trial at n_init
+            raise OptimizerError("need max(2, ceil(k*n_init)) < n_init < budget")
         if not 0 <= self.epsilon < np.inf or self.window < 2 or self.n_candidates < 1:
             raise OptimizerError("bad epsilon/window/n_candidates")
 

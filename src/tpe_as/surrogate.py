@@ -10,7 +10,6 @@ from scipy.special import erf
 
 from .space import Config, ParamSpace, require_valid
 
-BANDWIDTH_FLOOR_FRAC = 1e-3  # of domain width
 MAX_REJECTION_TRIES = 1000
 DENSITY_FLOOR = 1e-300  # keeps far-tail evaluations positive despite underflow
 CATEGORICAL_FLOOR = 0.1  # weight of the uniform table mixed into each categorical table
@@ -71,21 +70,24 @@ class KdeModel:
     bandwidths: dict  # numeric dim index -> float > 0
     categorical_tables: dict  # categorical dim index -> np.ndarray over choices
     n_components: int
-    trunc_mass: dict = field(default_factory=dict, compare=False)  # continuous dim -> per-component mass
-    lattice_pmf: dict = field(default_factory=dict, compare=False)  # integer dim -> (n_comp, lattice) pmf
-    cdfs: dict = field(default_factory=dict, compare=False)  # integer/categorical dim -> cdf, first draw
+    trunc_mass: dict  # continuous dim index -> per-component truncation mass
+    lattice_pmf: dict  # integer dim index -> (n_components x lattice) pmf
+
+
+def top_count(n: int, k: float) -> int:
+    """How many of n trials the top-k quantile rule of both density models keeps."""
+    return max(2, math.ceil(k * n))
 
 
 def rank_top(history: History, k: float, score):
-    """Trials ranked by descending score, lower step first on ties, and the
-    top-k count max(2, ceil(k*n)): the quantile rule of both density models."""
+    """Trials ranked by descending score, lower step first on ties, and their top_count."""
     n = len(history)
     if n < 2:
         raise SurrogateError("need at least 2 trials to rank")
     if not 0 < k < 1:
         raise SurrogateError("k must lie in (0, 1)")
     ranked = sorted(history.trials, key=lambda t: (-score(t), t.step))
-    return ranked, max(2, math.ceil(k * n))
+    return ranked, top_count(n, k)
 
 
 def split_history(history: History, k: float):
@@ -100,8 +102,7 @@ def _scott_bandwidth(sigma: float, n: int, n_numeric: int, width: float) -> floa
     bw = sigma * n ** (-1.0 / (n_numeric + 4))
     # adaptive minimum keeps proposals diverse when members coincide; without
     # it the search freezes on whatever point the good group collapses to
-    magic_clip = width / min(100, n + 1)
-    return max(bw, magic_clip, BANDWIDTH_FLOOR_FRAC * width)
+    return max(bw, width / min(100, n + 1))
 
 
 def fit_kde(members, space: ParamSpace) -> KdeModel:
@@ -171,38 +172,33 @@ def density(model: KdeModel, configs) -> np.ndarray:
     return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
 
 
-def acquisition(good_model: KdeModel, bad_model: KdeModel, configs) -> np.ndarray:
-    """Density ratios of the good model over the bad model at a list of configs."""
-    if good_model.space != bad_model.space:
-        raise SurrogateError("good and bad models must share a space")
-    return density(good_model, configs) / density(bad_model, configs)
-
-
-def sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
-    """Draw one config: pick a component uniformly, then sample each kernel."""
-    cdfs = model.cdfs  # built as Generator.choice builds them: same index, same RNG state
-    if not cdfs:  # only a sampled model pays for them
-        for i, pmf in (*model.lattice_pmf.items(), *model.categorical_tables.items()):
-            cdfs[i] = pmf.cumsum(axis=-1)
-            cdfs[i] /= cdfs[i][..., -1:]
-    comp = int(rng.integers(model.n_components))
-    values = []
-    for i, d in enumerate(model.space.domains):
-        if d.kind == "continuous":
-            center = model.centers[i][comp]
-            bw = model.bandwidths[i]
-            for _ in range(MAX_REJECTION_TRIES):
-                x = rng.normal(center, bw)
-                if d.lo <= x <= d.hi:
-                    break
+def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> list:
+    """Draw n configs in turn: pick a component uniformly, then sample each kernel."""
+    cdfs = {}  # built as Generator.choice builds them: same index, same RNG state
+    for i, pmf in (*model.lattice_pmf.items(), *model.categorical_tables.items()):
+        cdfs[i] = pmf.cumsum(axis=-1)
+        cdfs[i] /= cdfs[i][..., -1:]
+    draws = []
+    for _ in range(n):
+        comp = int(rng.integers(model.n_components))
+        values = []
+        for i, d in enumerate(model.space.domains):
+            if d.kind == "continuous":
+                center = model.centers[i][comp]
+                bw = model.bandwidths[i]
+                for _ in range(MAX_REJECTION_TRIES):
+                    x = rng.normal(center, bw)
+                    if d.lo <= x <= d.hi:
+                        break
+                else:
+                    x = min(max(center, d.lo), d.hi)
+                values.append(float(x))
+            elif d.kind == "integer":
+                values.append(int(d.lo) + int(cdfs[i][comp].searchsorted(rng.random(), side="right")))
             else:
-                x = min(max(center, d.lo), d.hi)
-            values.append(float(x))
-        elif d.kind == "integer":
-            values.append(int(d.lo) + int(cdfs[i][comp].searchsorted(rng.random(), side="right")))
-        else:
-            values.append(d.choices[int(cdfs[i].searchsorted(rng.random(), side="right"))])
-    return Config(tuple(values))
+                values.append(d.choices[int(cdfs[i].searchsorted(rng.random(), side="right"))])
+        draws.append(Config(tuple(values)))
+    return draws
 
 
 def propose_next(
@@ -223,6 +219,7 @@ def propose_next(
     good, bad = split_history(history, k)
     good_model = fit_kde([t.config for t in good], space)
     bad_model = fit_kde([t.config for t in bad], space)
-    candidates = [sample_from_kde(good_model, rng) for _ in range(n_candidates)]
-    best = candidates[int(np.argmax(acquisition(good_model, bad_model, candidates)))]
-    return best, float(density(good_model, [best])[0])
+    candidates = sample_from_kde(good_model, rng, n_candidates)
+    g = density(good_model, candidates)
+    best = int(np.argmax(g / density(bad_model, candidates)))
+    return candidates[best], float(g[best])

@@ -23,6 +23,7 @@ from tpe_as.harness import (
 )
 from tpe_as.optimizer import OptimizerConfig, run, summarize
 from tpe_as.space import SpaceError, sample_uniform
+from tpe_as.surrogate import SurrogateError
 
 import numpy as np
 
@@ -46,6 +47,8 @@ MALFORMED_CONFIGS = {
     "epsilon-infinity": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "epsilon": math.inf})),
     "output-dir-not-a-string": json.dumps(dict(BASE_DOC, output_dir=5)),
     "n_init-not-below-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 5, "n_init": 10})),
+    "n_init-2": json.dumps(dict(BASE_DOC, optimizer={"budget": 10, "n_init": 2})),
+    "k-0.95-n_init-19": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "n_init": 19, "k": 0.95})),
     "seeds-not-a-list": json.dumps(dict(BASE_DOC, seeds=3)),
     "unknown-strategy": json.dumps(dict(BASE_DOC, strategy="momentum_carry")),
     **{
@@ -103,6 +106,7 @@ class TestConfigParsing:
         [
             (["run", "input"], MALFORMED_CONFIGS["ill-typed-budget"]),
             (["run", "input"], MALFORMED_CONFIGS["fractional-budget"]),
+            (["run", "input"], MALFORMED_CONFIGS["n_init-2"]),
             (["report", "input"], json.dumps(BASE_DOC)),
             (["run", "input"], None),
             (["run", "--parallelism", "0", "input"], json.dumps(BASE_DOC)),
@@ -111,6 +115,7 @@ class TestConfigParsing:
         ids=[
             "run-malformed",
             "run-fractional-budget",
+            "run-n_init-2",
             "report-malformed",
             "run-missing-file",
             "run-parallelism-0",
@@ -150,6 +155,12 @@ class TestTrialLogs:
         lines[2] = json.dumps(doc)
         with pytest.raises(SpaceError, match=r"^mom_lb_0: value .* outside integer domain$"):
             history_from_jsonl("\n".join(lines), space)
+
+    def test_skipped_step_rejected(self, mixed_space):
+        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        lines = history_to_jsonl(history, mixed_space).splitlines()
+        with pytest.raises(SurrogateError, match="^expected step 3, got 4$"):
+            history_from_jsonl("\n".join(lines[:2] + lines[3:]), mixed_space)
 
     def test_jsonl_is_one_object_per_line(self, mixed_space):
         def bb(cfg):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_space
@@ -156,6 +156,26 @@ class TestRun:
         forced = run(opt_a, quadratic, space_2d, schedule=lambda t, eta: 0.0)
         conventional = run(opt_c, quadratic, space_2d)
         assert forced.trials == conventional.trials
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        n_init=st.integers(-1, 30),
+    )
+    def test_every_accepted_warm_up_leaves_a_bad_trial(self, seed, k, n_init):
+        # a run fits a bad-group KDE at its first proposal, so an accepted
+        # (k, n_init) must leave that group non-empty
+        try:
+            opt = OptimizerConfig(
+                budget=n_init + 3, mode="conventional", k=k, n_init=n_init, n_candidates=4, seed=seed
+            )
+        except OptimizerError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        history = run(opt, lambda cfg: float(rng.normal()), space)
+        assert len(history) == n_init + 3
 
     def test_rejects_bad_config(self):
         with pytest.raises(OptimizerError):

@@ -12,7 +12,6 @@ from tpe_as import blackbox, cli, objective, optimizer, surrogate
 from tpe_as.blackbox import STRATEGIES, strategy_preset
 from tpe_as.space import Config, ParamDomain, ParamSpace, SpaceError, require_valid, sample_uniform
 from tpe_as.surrogate import (
-    BANDWIDTH_FLOOR_FRAC,
     CATEGORICAL_FLOOR,
     DENSITY_FLOOR,
     MAX_REJECTION_TRIES,
@@ -22,7 +21,6 @@ from tpe_as.surrogate import (
     KdeModel,
     SurrogateError,
     TrialRecord,
-    acquisition,
     density,
     fit_kde,
     propose_next,
@@ -42,6 +40,31 @@ def make_history(j_scores, configs=None, space=None):
             )
         )
     return history
+
+
+class TestHistory:
+    @pytest.mark.parametrize(
+        "steps, bad",
+        [
+            ((1, 2, 4), "expected step 3, got 4"),
+            ((1, 2, 2), "expected step 3, got 2"),
+            ((0,), "expected step 1, got 0"),
+        ],
+    )
+    def test_append_rejects_skipped_or_repeated_step(self, steps, bad):
+        history = make_history([0.0] * (len(steps) - 1))
+        with pytest.raises(SurrogateError, match=f"^{bad}$"):
+            history.append(
+                TrialRecord(step=steps[-1], config=Config((0.5,)), f_value=0.0, j_score=0.0,
+                            proposal_density=1.0, lambda_used=0.0)
+            )
+        assert len(history) == len(steps) - 1
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, -math.inf])
+    def test_record_rejects_nonpositive_density(self, q):
+        with pytest.raises(SurrogateError, match="must be positive"):
+            TrialRecord(step=1, config=Config((0.5,)), f_value=0.0, j_score=0.0,
+                        proposal_density=q, lambda_used=0.0)
 
 
 class TestSplitHistory:
@@ -179,7 +202,7 @@ class TestBatchDensity:
         model = fit_kde(members, space)
         probes = members[:5]
         for _ in range(20):
-            probes += [sample_uniform(space, rng), sample_from_kde(model, rng)]
+            probes += [sample_uniform(space, rng), *sample_from_kde(model, rng, 1)]
         batch = density(model, probes)
         assert np.array_equal(batch, [reference_density(model, p) for p in probes])
         assert np.array_equal(batch, np.concatenate([density(model, [p]) for p in probes]))
@@ -188,35 +211,6 @@ class TestBatchDensity:
         model = fit_kde([Config((0.5,))], unit_space)
         with pytest.raises(SpaceError):
             density(model, [Config((0.5,)), Config((2.0,))])
-
-
-class TestAcquisition:
-    def test_ratio_definition(self, unit_space, rng):
-        good = fit_kde([Config((0.3,)), Config((0.4,))], unit_space)
-        bad = fit_kde([Config((0.8,)), Config((0.9,))], unit_space)
-        probe = Config((0.35,))
-        expected = density(good, [probe]) / density(bad, [probe])
-        assert acquisition(good, bad, [probe]) == pytest.approx(expected)
-
-    def test_equal_models_give_one(self, unit_space):
-        members = [Config((0.3,)), Config((0.6,))]
-        good = fit_kde(members, unit_space)
-        bad = fit_kde(members, unit_space)
-        assert acquisition(good, bad, [Config((0.5,))]) == pytest.approx([1.0])
-
-    def test_argmax_invariant_under_log(self, unit_space, rng):
-        good = fit_kde([Config((0.3,)), Config((0.4,))], unit_space)
-        bad = fit_kde([Config((0.7,)), Config((0.9,))], unit_space)
-        candidates = [sample_uniform(unit_space, rng) for _ in range(50)]
-        alphas = acquisition(good, bad, candidates)
-        logs = np.log(density(good, candidates)) - np.log(density(bad, candidates))
-        assert int(np.argmax(alphas)) == int(np.argmax(logs))
-
-    def test_space_mismatch_error(self, unit_space, mixed_space, rng):
-        good = fit_kde([Config((0.5,))], unit_space)
-        bad = fit_kde([sample_uniform(mixed_space, rng)], mixed_space)
-        with pytest.raises(SurrogateError):
-            acquisition(good, bad, [Config((0.5,))])
 
 
 class TestProposeNext:
@@ -260,9 +254,27 @@ class TestProposeNext:
         history = self.make_clustered_history(unit_space, rng)
         good, _ = split_history(history, 0.15)
         model = fit_kde([t.config for t in good], unit_space)
-        draw = sample_from_kde(model, np.random.default_rng(9))
+        (draw,) = sample_from_kde(model, np.random.default_rng(9), 1)
         cfg, _ = propose_next(history, unit_space, 0.15, 1, np.random.default_rng(9))
         assert cfg == draw
+
+    def test_best_ratio_of_reference_draws(self, mixed_space, rng):
+        history = History()
+        for i in range(1, 40):
+            score = float(rng.normal())
+            history.append(
+                TrialRecord(step=i, config=sample_uniform(mixed_space, rng), f_value=score,
+                            j_score=score, proposal_density=1.0, lambda_used=0.0)
+            )
+        good, bad = split_history(history, 0.15)
+        good_model = fit_kde([t.config for t in good], mixed_space)
+        bad_model = fit_kde([t.config for t in bad], mixed_space)
+        draws = np.random.default_rng(4)
+        candidates = [reference_sample_from_kde(good_model, draws) for _ in range(32)]
+        ratios = density(good_model, candidates) / density(bad_model, candidates)
+        cfg, q = propose_next(history, mixed_space, 0.15, 32, np.random.default_rng(4))
+        assert cfg == candidates[int(np.argmax(ratios))]
+        assert np.array_equal([q], density(good_model, [cfg]))
 
     def test_proposals_track_good_cluster(self, unit_space, rng):
         history = self.make_clustered_history(unit_space, rng, n=80)
@@ -298,7 +310,8 @@ def reference_scott_bandwidth(values: np.ndarray, n_numeric: int, width: float) 
     # adaptive minimum keeps proposals diverse when members coincide; without
     # it the search freezes on whatever point the good group collapses to
     magic_clip = width / min(100, len(values) + 1)
-    return max(bw, magic_clip, BANDWIDTH_FLOOR_FRAC * width)
+    floor_frac = 1e-3  # of domain width
+    return max(bw, magic_clip, floor_frac * width)
 
 
 def reference_fit_kde(members, space: ParamSpace) -> KdeModel:
@@ -425,8 +438,11 @@ class TestFastPathMatchesReference:
         space, members = space_and_members(seed, strategy)
         model = fit_kde(members, space)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            assert sample_from_kde(model, fast) == reference_sample_from_kde(model, slow)
+        batch = sample_from_kde(model, fast, 20)
+        assert batch == [reference_sample_from_kde(model, slow) for _ in range(20)]
+        assert fast.bit_generator.state == slow.bit_generator.state
+        for _ in range(5):
+            assert sample_from_kde(model, fast, 1) == [reference_sample_from_kde(model, slow)]
             assert fast.bit_generator.state == slow.bit_generator.state
 
     @settings(max_examples=100, deadline=None)
@@ -512,5 +528,9 @@ class TestFastPathMatchesReference:
             monkeypatch.setattr(namespace, "require_valid", reference_validate_batch)
         monkeypatch.setattr(surrogate, "fit_kde", reference_fit_kde)
         monkeypatch.setattr(objective, "fit_kde", reference_fit_kde)
-        monkeypatch.setattr(surrogate, "sample_from_kde", reference_sample_from_kde)
+        monkeypatch.setattr(
+            surrogate,
+            "sample_from_kde",
+            lambda model, rng, n: [reference_sample_from_kde(model, rng) for _ in range(n)],
+        )
         assert trial_log("reference") == fast
