@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import run_baseline
 from .blackbox import evaluate, scenario_preset, strategy_preset
 from .optimizer import OptimizerConfig, run, summarize
-from .space import Config, ParamSpace, require_valid
+from .space import Config, ParamSpace
 from .surrogate import History, TrialRecord
 
 METHODS = ("tpe_as", "tpe_conventional", "random_search")
@@ -102,15 +102,13 @@ def history_to_jsonl(history: History, space: ParamSpace) -> str:
 
 
 def history_from_jsonl(text: str, space: ParamSpace) -> History:
-    history = History()
+    history = History(space)  # whose append validates each config: a log is outside input
     for line in text.strip().splitlines():
         doc = json.loads(line)
-        config = Config.from_dict(space, doc["config"])
-        require_valid(space, config)  # a log is outside input
         history.append(
             TrialRecord(
                 step=doc["step"],
-                config=config,
+                config=Config.from_dict(space, doc["config"]),
                 f_value=doc["f"],
                 j_score=doc["j_score"],
                 proposal_density=doc["proposal_density"],

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .space import ParamSpace
+from .space import ParamSpace, encode
 from .surrogate import History, KdeModel, density, fit_kde, rank_top
 
 
@@ -39,15 +39,14 @@ def windowed_variance(
     """Population variance of clip-weighted f values over the trailing window.
 
     `current` is a (config, f_value, proposal_density) triple for the trial
-    being scored; the window covers the last min(window, available) trials
-    including it.
+    being scored, its config already validated; the window covers the last
+    min(window, available) trials including it, scored as encoded rows.
     """
     if window < 2:
         raise ObjectiveError("window must be at least 2")
-    entries = [(t.config, t.f_value, t.proposal_density) for t in history.trials[1 - window:]]
-    entries.append(current)
-    g = density(g_model, [cfg for cfg, _, _ in entries])
-    weighted = [importance_weight(gi, q, epsilon) * f for gi, (_, f, q) in zip(g, entries)]
+    entries = [(t.f_value, t.proposal_density) for t in history.trials[1 - window:]] + [current[1:]]
+    g = density(g_model, np.vstack([history.rows[1 - window:], encode(history.space, current[0])]))
+    weighted = [importance_weight(gi, qi, epsilon) * fi for gi, (fi, qi) in zip(g, entries)]
     return float(np.var(weighted))
 
 
@@ -64,5 +63,5 @@ def build_g_model(history: History, k: float, space: ParamSpace) -> KdeModel:
     Approximates the distribution of high-quality configurations; refreshed
     every optimizer step.
     """
-    ranked, n_top = rank_top(history, k, lambda t: t.f_value)
-    return fit_kde([t.config for t in ranked[:n_top]], space)  # rank order fixes component order
+    ranked, n_top = rank_top(np.array([t.f_value for t in history.trials]), k)
+    return fit_kde(history.rows[ranked[:n_top]], space)  # rank order fixes component order

@@ -72,7 +72,7 @@ def run(
     """
     propose = propose or propose_next  # resolved per call, so a rebound name is used
     rng = np.random.default_rng(opt.seed)
-    history = History()
+    history = History(space)
     u_density = uniform_density(space)
 
     for t in range(1, opt.budget + 1):

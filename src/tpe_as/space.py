@@ -120,33 +120,33 @@ class Config:
         return cls(tuple(values))
 
 
-def _column_valid(d: ParamDomain, col: tuple) -> bool:
-    """d.contains(v) for all v in col: each type checked once, then one pass."""
-    if d.kind == "categorical":
-        return all(v in d.choices for v in col)
-    ok, bad = ((int, float), ()) if d.kind == "continuous" else ((int, np.integer), bool)
-    if not all(issubclass(t, ok) and not issubclass(t, bad) for t in set(map(type, col))):
-        return False
-    lo, hi = d.lo, d.hi
-    return all(lo <= v <= hi for v in col)
+def require_valid(space: ParamSpace, config: Config) -> None:
+    """Raise SpaceError naming every bad coordinate of config."""
+    if len(config.values) != space.m:
+        raise SpaceError(f"<space>: expected {space.m} values, got {len(config.values)}")
+    bad = [
+        f"{d.name}: value {v!r} outside {d.kind} domain"
+        for d, v in zip(space.domains, config.values)
+        if not d.contains(v)
+    ]
+    if bad:
+        raise SpaceError("; ".join(bad))
 
 
-def require_valid(space: ParamSpace, *configs: Config) -> None:
-    """Raise SpaceError naming every bad coordinate of the first bad config.  A
-    batch is checked column by column; one config, or a failed batch, one by one."""
-    batch = len(configs) > 1 and all(len(c.values) == space.m for c in configs)
-    if batch and all(map(_column_valid, space.domains, zip(*(c.values for c in configs)))):
-        return
-    for config in configs:
-        if len(config.values) != space.m:
-            raise SpaceError(f"<space>: expected {space.m} values, got {len(config.values)}")
-        bad = [
-            f"{d.name}: value {v!r} outside {d.kind} domain"
-            for d, v in zip(space.domains, config.values)
-            if not d.contains(v)
-        ]
-        if bad:
-            raise SpaceError("; ".join(bad))
+def encode(space: ParamSpace, config: Config) -> list:
+    """A valid config's values in domain order, each categorical as its choice index."""
+    return [
+        d.choices.index(v) if d.kind == "categorical" else v
+        for d, v in zip(space.domains, config.values)
+    ]
+
+
+def decode(space: ParamSpace, row) -> Config:
+    """The config an encoded row stands for."""
+    return Config(tuple(
+        float(x) if d.kind == "continuous" else int(x) if d.kind == "integer" else d.choices[int(x)]
+        for d, x in zip(space.domains, row)
+    ))
 
 
 def sample_uniform(space: ParamSpace, rng: np.random.Generator) -> Config:

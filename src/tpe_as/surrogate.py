@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
-from .space import Config, ParamSpace, require_valid
+from .space import Config, ParamSpace, decode, encode, require_valid
 
 MAX_REJECTION_TRIES = 1000
 DENSITY_FLOOR = 1e-300  # keeps far-tail evaluations positive despite underflow
@@ -38,27 +38,40 @@ class TrialRecord:
             raise SurrogateError("proposal_density must be positive")
 
 
-@dataclass
 class History:
-    """Append-only ordered record of all evaluated trials."""
+    """Append-only ordered record of all evaluated trials.  Each config is
+    validated on append and encoded once into a row of `rows`, an (n x m)
+    float matrix with categoricals as choice indices (`space.encode`), which
+    the surrogate fits and scores; only the trial records hold Configs."""
 
-    trials: list = field(default_factory=list)
+    def __init__(self, space: ParamSpace):
+        self.space = space
+        self.trials = []
+        self._rows = np.empty((64, space.m))
 
     def append(self, trial: TrialRecord) -> None:
-        expected = self.trials[-1].step + 1 if self.trials else 1
-        if trial.step != expected:
-            raise SurrogateError(f"expected step {expected}, got {trial.step}")
+        n = len(self.trials)
+        if trial.step != n + 1:
+            raise SurrogateError(f"expected step {n + 1}, got {trial.step}")
+        require_valid(self.space, trial.config)
+        if n == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._rows[n] = encode(self.space, trial.config)
         self.trials.append(trial)
 
     def __len__(self) -> int:
         return len(self.trials)
 
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: len(self.trials)]
+
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Parzen mixture over a ParamSpace.
+    """Parzen mixture over a ParamSpace, fitted on encoded rows.
 
-    One kernel component per member config.  Continuous dimensions use
+    One kernel component per member row.  Continuous dimensions use
     Gaussian kernels truncated and renormalized to the bounds; integer
     dimensions use Gaussian weights on the integer lattice; categorical
     dimensions share one smoothed frequency table across components.
@@ -79,147 +92,137 @@ def top_count(n: int, k: float) -> int:
     return max(2, math.ceil(k * n))
 
 
-def rank_top(history: History, k: float, score):
-    """Trials ranked by descending score, lower step first on ties, and their top_count."""
-    n = len(history)
+def rank_top(scores: np.ndarray, k: float):
+    """Trial indices ranked by descending score, lower step first on ties, and their top_count."""
+    n = len(scores)
     if n < 2:
         raise SurrogateError("need at least 2 trials to rank")
     if not 0 < k < 1:
         raise SurrogateError("k must lie in (0, 1)")
-    ranked = sorted(history.trials, key=lambda t: (-score(t), t.step))
-    return ranked, top_count(n, k)
+    return np.argsort(-scores, kind="stable"), top_count(n, k)
 
 
 def split_history(history: History, k: float):
-    """Partition trials into (good, bad) at the top-k quantile of j_score,
-    each group in step order."""
-    ranked, n_good = rank_top(history, k, lambda t: t.j_score)
-    step = lambda t: t.step
-    return sorted(ranked[:n_good], key=step), sorted(ranked[n_good:], key=step)
+    """Partition trial indices into (good, bad) at the top-k quantile of
+    j_score, each group in step order."""
+    order, n_good = rank_top(np.array([t.j_score for t in history.trials]), k)
+    return np.sort(order[:n_good]), np.sort(order[n_good:])
 
 
-def _scott_bandwidth(sigma: float, n: int, n_numeric: int, width: float) -> float:
-    bw = sigma * n ** (-1.0 / (n_numeric + 4))
-    # adaptive minimum keeps proposals diverse when members coincide; without
-    # it the search freezes on whatever point the good group collapses to
-    return max(bw, width / min(100, n + 1))
-
-
-def fit_kde(members, space: ParamSpace) -> KdeModel:
-    """Fit a Parzen density with one component per member config."""
-    if not members:
+def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
+    """Fit a Parzen density with one component per row of an encoded
+    (members x m) block.  The rows come from a History, so they are valid."""
+    n = len(rows)
+    if not n:
         raise SurrogateError("cannot fit a KDE on zero members")
-    require_valid(space, *members)
-
-    n = len(members)
-    columns = list(zip(*(cfg.values for cfg in members)))
     numeric = [i for i, d in enumerate(space.domains) if d.is_numeric]
-    block = np.array([columns[i] for i in numeric], dtype=float).reshape(len(numeric), n)
-    rows = iter(zip(block, np.std(block, axis=1).tolist()))
-    centers, bandwidths, tables, trunc_mass, lattice_pmf = [], {}, {}, {}, {}
+    block = np.ascontiguousarray(rows[:, numeric].T)  # each sigma reduces one contiguous row
+    lo, hi = np.array([[space.domains[i].lo, space.domains[i].hi] for i in numeric]).T.reshape(2, -1, 1)
+    # Scott's rule with an adaptive minimum, which keeps proposals diverse when
+    # members coincide; without it the search freezes on whatever point the good group collapses to
+    scott = np.std(block, axis=1, keepdims=True) * n ** (-1.0 / (len(numeric) + 4))
+    bw = np.maximum(scott, (hi - lo) / min(100, n + 1))
+    cont = [space.domains[i].kind == "continuous" for i in numeric]
+    scale = bw[cont] * SQRT2
+    mass = 0.5 * (erf((hi[cont] - block[cont]) / scale) - erf((lo[cont] - block[cont]) / scale))
+    trunc_mass = dict(zip(np.compress(cont, numeric).tolist(), mass))
+    bandwidths = dict(zip(numeric, bw[:, 0].tolist()))
+    centers, tables, lattice_pmf = [None] * space.m, {}, {}
+    for i, arr in zip(numeric, block):
+        centers[i], d = arr, space.domains[i]
+        if d.kind == "integer":
+            # a pmf row depends only on bw and the member's value: with more members
+            # than lattice values, build one table row per value and gather them
+            lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
+            table = n > len(lattice)
+            z = (lattice[None, :] - (lattice if table else arr)[:, None]) / bandwidths[i]
+            w = np.exp(-0.5 * z * z)
+            pmf = w / w.sum(axis=1, keepdims=True)
+            lattice_pmf[i] = pmf[(arr - d.lo).astype(int)] if table else pmf
     for i, d in enumerate(space.domains):
-        if d.is_numeric:
-            arr, sigma = next(rows)
-            centers.append(arr)
-            bandwidths[i] = bw = _scott_bandwidth(sigma, n, len(numeric), d.width())
-            if d.kind == "continuous":
-                hi_mass = erf((d.hi - arr) / (bw * SQRT2))
-                lo_mass = erf((d.lo - arr) / (bw * SQRT2))
-                trunc_mass[i] = 0.5 * (hi_mass - lo_mass)
-            else:
-                lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
-                z = (lattice[None, :] - arr[:, None]) / bw
-                w = np.exp(-0.5 * z * z)
-                lattice_pmf[i] = w / w.sum(axis=1, keepdims=True)
-        else:
-            centers.append(None)
-            counts = np.array([columns[i].count(c) for c in d.choices], dtype=float)
-            empirical = counts / counts.sum()
-            uniform = np.full(len(d.choices), 1.0 / len(d.choices))
-            tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
-    return KdeModel(
-        space=space,
-        centers=tuple(centers),
-        bandwidths=bandwidths,
-        categorical_tables=tables,
-        n_components=n,
-        trunc_mass=trunc_mass,
-        lattice_pmf=lattice_pmf,
-    )
+        if d.kind == "categorical":
+            empirical = np.bincount(rows[:, i].astype(int), minlength=len(d.choices)) / n
+            tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * (1.0 / len(d.choices))
+    return KdeModel(space, tuple(centers), bandwidths, tables, n, trunc_mass, lattice_pmf)
 
 
-def density(model: KdeModel, configs) -> np.ndarray:
-    """Mixture densities at a list of configs; each strictly positive.
-
-    Kernels form an (n_configs x n_components) array, multiplied one
-    dimension at a time in dimension order and averaged over components, so
-    each entry equals a one-config call bit for bit.
-    """
-    require_valid(model.space, *configs)
-    per_component = np.ones((len(configs), model.n_components))
-    categorical_factor = np.ones(len(configs))
-    for i, (d, col) in enumerate(zip(model.space.domains, zip(*(c.values for c in configs)))):
+def density(model: KdeModel, x: np.ndarray) -> np.ndarray:
+    """Mixture densities, each strictly positive, at the rows of an encoded block
+    from a History or `sample_from_kde`, so not validated again.  Kernels form a
+    (rows x components) array, multiplied in place one dimension at a time in
+    order and averaged over components: each entry equals a one-row call's."""
+    per_component = np.ones((len(x), model.n_components))
+    z, kernel = np.empty_like(per_component), np.empty_like(per_component)
+    categorical_factor = np.ones(len(x))
+    for i, d in enumerate(model.space.domains):
         if d.kind == "continuous":
             bw = model.bandwidths[i]
-            z = (np.array(col, dtype=float)[:, None] - model.centers[i]) / bw
-            pdf = np.exp(-0.5 * z * z) / (bw * SQRT2PI)
-            per_component *= pdf / model.trunc_mass[i]
+            np.subtract(x[:, i, None], model.centers[i], out=z)
+            z /= bw
+            np.multiply(z, -0.5, out=kernel)
+            kernel *= z
+            np.exp(kernel, out=kernel)
+            kernel /= bw * SQRT2PI
+            kernel /= model.trunc_mass[i]
+            per_component *= kernel
         elif d.kind == "integer":
-            per_component *= model.lattice_pmf[i][:, [int(v) - int(d.lo) for v in col]].T
+            per_component *= model.lattice_pmf[i][:, (x[:, i] - d.lo).astype(int)].T
         else:
-            table = model.categorical_tables[i]
-            categorical_factor *= table[[d.choices.index(v) for v in col]]
+            categorical_factor *= model.categorical_tables[i][x[:, i].astype(int)]
     return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
 
 
-def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> list:
-    """Draw n configs in turn: pick a component uniformly, then sample each kernel."""
-    cdfs = {}  # built as Generator.choice builds them: same index, same RNG state
-    for i, pmf in (*model.lattice_pmf.items(), *model.categorical_tables.items()):
-        cdfs[i] = pmf.cumsum(axis=-1)
-        cdfs[i] /= cdfs[i][..., -1:]
-    draws = []
+def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n encoded configs into an (n x m) block with the RNG calls of one
+    config at a time: `integers` picks a component, then each dimension in
+    order takes `normal` draws until one is in bounds, or one `random()` that
+    is looked up after the loop in a cumulative pmf, as `Generator.choice` does."""
+    kernels = [(d.lo, d.hi, model.centers[i] if d.kind == "continuous" else None, model.bandwidths.get(i))
+               for i, d in enumerate(model.space.domains)]
+    integers, normal, random = rng.integers, rng.normal, rng.random
+    comps, draws = [], []
     for _ in range(n):
-        comp = int(rng.integers(model.n_components))
-        values = []
-        for i, d in enumerate(model.space.domains):
-            if d.kind == "continuous":
-                center = model.centers[i][comp]
-                bw = model.bandwidths[i]
-                for _ in range(MAX_REJECTION_TRIES):
-                    x = rng.normal(center, bw)
-                    if d.lo <= x <= d.hi:
-                        break
-                else:
-                    x = min(max(center, d.lo), d.hi)
-                values.append(float(x))
-            elif d.kind == "integer":
-                values.append(int(d.lo) + int(cdfs[i][comp].searchsorted(rng.random(), side="right")))
+        comp = integers(model.n_components)
+        comps.append(comp)
+        row = []
+        for lo, hi, centers, bw in kernels:
+            if centers is None:
+                row.append(random())
+                continue
+            center = centers[comp]
+            for _ in range(MAX_REJECTION_TRIES):
+                x = normal(center, bw)
+                if lo <= x <= hi:
+                    break
             else:
-                values.append(d.choices[int(cdfs[i].searchsorted(rng.random(), side="right"))])
-        draws.append(Config(tuple(values)))
-    return draws
+                x = min(max(center, lo), hi)
+            row.append(x)
+        draws.append(row)
+    out = np.array(draws, dtype=float).reshape(n, model.space.m)
+    for i, d in enumerate(model.space.domains):
+        if d.kind != "continuous":
+            pmf = model.lattice_pmf[i][comps] if d.kind == "integer" else model.categorical_tables[i]
+            cdf = pmf.cumsum(axis=-1)
+            cdf /= cdf[..., -1:]
+            out[:, i] = (cdf <= out[:, i, None]).sum(axis=1) + (d.lo if d.kind == "integer" else 0)
+    return out
 
 
 def propose_next(
-    history: History,
-    space: ParamSpace,
-    k: float,
-    n_candidates: int,
-    rng: np.random.Generator,
+    history: History, space: ParamSpace, k: float, n_candidates: int, rng: np.random.Generator
 ):
     """Propose the next config by maximizing the good/bad density ratio.
 
     Returns (config, proposal_density) where the density is taken under the
     good-group model the candidates were drawn from; the first of tied
-    candidates wins.
+    candidates wins, and only it is decoded to a Config.
     """
     if n_candidates < 1:
         raise SurrogateError("need at least one candidate")
     good, bad = split_history(history, k)
-    good_model = fit_kde([t.config for t in good], space)
-    bad_model = fit_kde([t.config for t in bad], space)
+    good_model = fit_kde(history.rows[good], space)
+    bad_model = fit_kde(history.rows[bad], space)
     candidates = sample_from_kde(good_model, rng, n_candidates)
     g = density(good_model, candidates)
     best = int(np.argmax(g / density(bad_model, candidates)))
-    return candidates[best], float(g[best])
+    return decode(space, candidates[best]), float(g[best])

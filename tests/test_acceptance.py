@@ -12,6 +12,7 @@ import statistics
 import numpy as np
 import pytest
 
+from conftest import encoded
 from tpe_as.baselines import run_baseline
 from tpe_as.blackbox import evaluate, scenario_preset, strategy_preset
 from tpe_as.harness import ExperimentConfig, run_experiment, run_name, summary_from_log
@@ -60,12 +61,10 @@ def test_criterion_3_kde_normalization():
             )
         )
         members = [sample_uniform(space, rng) for _ in range(int(rng.integers(5, 31)))]
-        model = fit_kde(members, space)
+        model = fit_kde(encoded(space, members), space)
         probes_x = rng.uniform(lo, lo + width, 100_000)
         probes_c = rng.integers(n_choices, size=100_000)
-        dens = density(
-            model, [Config((x, space.domains[1].choices[c])) for x, c in zip(probes_x, probes_c)]
-        )
+        dens = density(model, np.column_stack([probes_x, probes_c]))  # choice c encodes as c
         integral = dens.mean() * width * n_choices
         ok &= abs(integral - 1.0) <= 0.05
     _verdict(3, "kde normalization", ok)
@@ -77,7 +76,7 @@ def test_criterion_4_split_correctness():
     ok = True
     for trial in range(200):
         n = int(rng.integers(2, 501))
-        history = History()
+        history = History(space)
         for step in range(1, n + 1):
             j = float(rng.normal())
             history.append(
@@ -87,10 +86,10 @@ def test_criterion_4_split_correctness():
         good, bad = split_history(history, k=0.15)
         ok &= len(good) == max(2, math.ceil(0.15 * n))
         ok &= len(good) + len(bad) == n
-        ok &= sorted(t.step for t in good + bad) == list(range(1, n + 1))
-        if bad:
-            threshold = min(t.j_score for t in good)
-            ok &= all(t.j_score <= threshold for t in bad)
+        ok &= sorted(history.trials[i].step for i in [*good, *bad]) == list(range(1, n + 1))
+        if len(bad):
+            j = np.array([t.j_score for t in history.trials])
+            ok &= j[bad].max() <= j[good].min()
     _verdict(4, "split correctness", ok)
 
 

@@ -145,15 +145,24 @@ class TestTrialLogs:
         back = history_from_jsonl(text, mixed_space)
         assert back.trials == history.trials
 
-    @pytest.mark.parametrize("value", [1_000_000, float("inf")])
-    def test_out_of_domain_line_rejected(self, value):
-        space = strategy_preset("threshold_hybrid").param_space
+    @pytest.mark.parametrize(
+        "strategy, name, value, kind",
+        [
+            ("threshold_hybrid", "mom_lb_0", 1_000_000, "integer"),
+            ("threshold_hybrid", "mom_lb_0", float("inf"), "integer"),
+            ("threshold_hybrid", "mom_th_0", -1e9, "continuous"),
+            ("trend_following", "mode_0", "never", "categorical"),
+        ],
+    )
+    def test_out_of_domain_line_rejected(self, strategy, name, value, kind):
+        # History.append, which encodes the config, is the check a log passes
+        space = strategy_preset(strategy).param_space
         history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, space)
         lines = history_to_jsonl(history, space).splitlines()
         doc = json.loads(lines[2])
-        doc["config"]["mom_lb_0"] = value
+        doc["config"][name] = value
         lines[2] = json.dumps(doc)
-        with pytest.raises(SpaceError, match=r"^mom_lb_0: value .* outside integer domain$"):
+        with pytest.raises(SpaceError, match=rf"^{name}: value .* outside {kind} domain$"):
             history_from_jsonl("\n".join(lines), space)
 
     def test_skipped_step_rejected(self, mixed_space):

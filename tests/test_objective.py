@@ -13,6 +13,7 @@ from tpe_as.objective import (
     lambda_schedule,
     windowed_variance,
 )
+from conftest import encoded
 from tpe_as.space import Config, ParamDomain, ParamSpace, sample_uniform
 from tpe_as.surrogate import History, TrialRecord, density, fit_kde
 
@@ -72,7 +73,7 @@ class TestImportanceWeight:
 
 
 def _history_of(space, entries):
-    history = History()
+    history = History(space)
     for i, (cfg, f, q) in enumerate(entries, start=1):
         history.append(
             TrialRecord(step=i, config=cfg, f_value=f, j_score=f,
@@ -84,34 +85,34 @@ def _history_of(space, entries):
 class TestWindowedVariance:
     def setup_method(self):
         self.space = ParamSpace((ParamDomain("x", "continuous", 0.0, 1.0),))
-        self.g = fit_kde([Config((0.4,)), Config((0.6,))], self.space)
+        self.g = fit_kde(encoded(self.space, [Config((0.4,)), Config((0.6,))]), self.space)
 
     def test_constant_sequence_zero_variance(self):
         cfg = Config((0.5,))
-        q = density(self.g, [cfg])[0]  # weight exactly 1 at matching densities
+        q = density(self.g, encoded(self.space, [cfg]))[0]  # weight exactly 1 at matching densities
         history = _history_of(self.space, [(cfg, 2.0, q)] * 5)
         assert windowed_variance(history, self.g, (cfg, 2.0, q), 0.2, 4) == pytest.approx(0.0)
 
     def test_two_point_population_variance(self):
         # weighted values {1.0, 3.0}: mean 2, population variance 1
         cfg = Config((0.5,))
-        q = density(self.g, [cfg])[0]
+        q = density(self.g, encoded(self.space, [cfg]))[0]
         history = _history_of(self.space, [(cfg, 1.0, q)])
         assert windowed_variance(history, self.g, (cfg, 3.0, q), 0.2, 5) == pytest.approx(1.0)
 
     def test_single_entry_zero(self):
         cfg = Config((0.5,))
-        assert windowed_variance(History(), self.g, (cfg, 3.0, 1.0), 0.2, 5) == 0.0
+        assert windowed_variance(History(self.space), self.g, (cfg, 3.0, 1.0), 0.2, 5) == 0.0
 
     def test_window_below_two_rejected(self):
         cfg = Config((0.5,))
         with pytest.raises(ObjectiveError):
-            windowed_variance(History(), self.g, (cfg, 3.0, 1.0), 0.2, 1)
+            windowed_variance(History(self.space), self.g, (cfg, 3.0, 1.0), 0.2, 1)
 
     def test_trials_beyond_window_ignored(self):
         rng = np.random.default_rng(0)
         cfg = Config((0.5,))
-        q = density(self.g, [cfg])[0]
+        q = density(self.g, encoded(self.space, [cfg]))[0]
         tail = [(cfg, float(rng.normal()), q) for _ in range(4)]
         short = _history_of(self.space, tail)
         prefixed = _history_of(
@@ -156,7 +157,7 @@ class TestBuildGModel:
         assert model.n_components == 2
 
     def test_ranks_by_f_not_j(self, unit_space):
-        history = History()
+        history = History(unit_space)
         # high f but terrible j: still belongs in the target model support
         history.append(TrialRecord(1, Config((0.9,)), f_value=5.0, j_score=-10.0,
                                    proposal_density=1.0, lambda_used=1.0))
@@ -179,6 +180,6 @@ class TestBuildGModel:
         history = _history_of(unit_space, entries)
         model = build_g_model(history, 0.15, unit_space)
         ranked = sorted(history.trials, key=lambda t: -t.f_value)
-        top = np.mean(density(model, [t.config for t in ranked[:10]]))
-        bottom = np.mean(density(model, [t.config for t in ranked[-10:]]))
+        top = np.mean(density(model, encoded(unit_space, [t.config for t in ranked[:10]])))
+        bottom = np.mean(density(model, encoded(unit_space, [t.config for t in ranked[-10:]])))
         assert top > bottom

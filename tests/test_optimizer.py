@@ -193,7 +193,7 @@ class TestRun:
 
 class TestSummarize:
     def test_oracle_values(self, space_2d):
-        history = History()
+        history = History(space_2d)
         from tpe_as.surrogate import TrialRecord
 
         for i, f in enumerate([1.0, 2.0, 3.0], start=1):
@@ -206,10 +206,10 @@ class TestSummarize:
         assert summary.variance_f == pytest.approx(2 / 3)
         assert summary.best_config == Config((0.1 * 3, 0.2))
 
-    def test_single_trial_zero_variance(self):
+    def test_single_trial_zero_variance(self, space_2d):
         from tpe_as.surrogate import TrialRecord
 
-        history = History()
+        history = History(space_2d)
         history.append(
             TrialRecord(step=1, config=Config((0.5, 0.5)), f_value=1.5,
                         j_score=1.5, proposal_density=1.0, lambda_used=0.0)
@@ -217,6 +217,6 @@ class TestSummarize:
         summary = summarize(history)
         assert summary.variance_f == 0.0
 
-    def test_empty_history_rejected(self):
+    def test_empty_history_rejected(self, space_2d):
         with pytest.raises(OptimizerError):
-            summarize(History())
+            summarize(History(space_2d))

@@ -7,10 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import random_space
-from tpe_as import blackbox, cli, objective, optimizer, surrogate
+from conftest import encoded, random_space
+from tpe_as import cli, optimizer
 from tpe_as.blackbox import STRATEGIES, strategy_preset
-from tpe_as.space import Config, ParamDomain, ParamSpace, SpaceError, require_valid, sample_uniform
+from tpe_as.objective import ObjectiveError, importance_weight
+from tpe_as.space import (
+    Config,
+    ParamDomain,
+    ParamSpace,
+    SpaceError,
+    decode,
+    require_valid,
+    sample_uniform,
+)
 from tpe_as.surrogate import (
     CATEGORICAL_FLOOR,
     DENSITY_FLOOR,
@@ -24,18 +33,21 @@ from tpe_as.surrogate import (
     density,
     fit_kde,
     propose_next,
+    rank_top,
     sample_from_kde,
     split_history,
+    top_count,
 )
 
+UNIT_SPACE = ParamSpace((ParamDomain("x", "continuous", 0.0, 1.0),))
 
-def make_history(j_scores, configs=None, space=None):
-    history = History()
+
+def make_history(j_scores):
+    history = History(UNIT_SPACE)
     for i, j in enumerate(j_scores, start=1):
-        cfg = configs[i - 1] if configs else Config((0.5,))
         history.append(
             TrialRecord(
-                step=i, config=cfg, f_value=j, j_score=j,
+                step=i, config=Config((0.5,)), f_value=j, j_score=j,
                 proposal_density=1.0, lambda_used=0.0,
             )
         )
@@ -60,6 +72,28 @@ class TestHistory:
             )
         assert len(history) == len(steps) - 1
 
+    @pytest.mark.parametrize("value", [2.0, -0.5, math.nan, "0.5"])
+    def test_append_rejects_config_outside_space(self, value):
+        # the boundary where a config enters the surrogate's arrays; fit_kde
+        # and density trust the rows they are given
+        history = make_history([1.0, 2.0])
+        with pytest.raises(SpaceError, match="^x: value .* outside continuous domain$"):
+            history.append(
+                TrialRecord(step=3, config=Config((value,)), f_value=0.0, j_score=0.0,
+                            proposal_density=1.0, lambda_used=0.0)
+            )
+        assert len(history) == 2 and history.rows.shape == (2, 1)
+
+    def test_rows_encode_each_trial_once(self, mixed_space, rng):
+        configs = [sample_uniform(mixed_space, rng) for _ in range(150)]  # grows the table twice
+        history = History(mixed_space)
+        for i, cfg in enumerate(configs, start=1):
+            history.append(TrialRecord(step=i, config=cfg, f_value=0.0, j_score=0.0,
+                                       proposal_density=1.0, lambda_used=0.0))
+        assert np.array_equal(history.rows, encoded(mixed_space, configs))
+        assert set(history.rows[:, 2]) <= {0.0, 1.0, 2.0}  # categorical choice indices
+        assert [decode(mixed_space, row) for row in history.rows] == configs
+
     @pytest.mark.parametrize("q", [0.0, -1.0, -math.inf])
     def test_record_rejects_nonpositive_density(self, q):
         with pytest.raises(SurrogateError, match="must be positive"):
@@ -81,7 +115,8 @@ class TestSplitHistory:
     def test_tie_break_by_step(self):
         history = make_history([1.0] * 20)
         good, bad = split_history(history, 0.15)
-        assert [t.step for t in good] == [1, 2, 3]
+        assert [history.trials[i].step for i in good] == [1, 2, 3]
+        assert list(bad) == list(range(3, 20))
 
     def test_threshold_partition_property(self):
         rng = np.random.default_rng(5)
@@ -90,9 +125,25 @@ class TestSplitHistory:
             history = make_history(list(rng.normal(size=n)))
             good, bad = split_history(history, 0.15)
             assert len(good) == max(2, math.ceil(0.15 * n))
-            assert len(good) + len(bad) == n
-            threshold = min(t.j_score for t in good)
-            assert all(t.j_score <= threshold for t in bad)
+            assert sorted([*good, *bad]) == list(range(n))
+            assert list(good) == sorted(good) and list(bad) == sorted(bad)
+            j = np.array([t.j_score for t in history.trials])
+            assert j[bad].max() <= j[good].min()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rank_matches_sorted_by_score_then_step(self, seed):
+        # scores from a few values tie often, as the f = 0 of failed trials do;
+        # the stable index order must be that of sorted(key=(-score, step))
+        rng = np.random.default_rng(seed)
+        history = make_history(rng.integers(-2, 3, int(rng.integers(2, 500))).astype(float).tolist())
+        order, n_top = rank_top(np.array([t.j_score for t in history.trials]), 0.15)
+        ranked, n_ref = config_rank_top(history, 0.15, lambda t: t.j_score)
+        assert n_top == n_ref and [history.trials[i] for i in order] == ranked
+        good, bad = split_history(history, 0.15)
+        assert [[history.trials[i] for i in g] for g in (good, bad)] == list(
+            config_split_history(history, 0.15)
+        )
 
     def test_insufficient_history(self):
         with pytest.raises(SurrogateError):
@@ -101,43 +152,39 @@ class TestSplitHistory:
 
 class TestFitKde:
     def test_single_member_peaks_at_center(self, unit_space):
-        model = fit_kde([Config((0.5,))], unit_space)
-        mid, lo, hi = density(model, [Config((0.5,)), Config((0.0,)), Config((1.0,))])
+        model = fit_kde(np.array([[0.5]]), unit_space)
+        mid, lo, hi = density(model, np.array([[0.5], [0.0], [1.0]]))
         assert mid > lo and mid > hi
 
     def test_categorical_smoothing_arithmetic(self):
         # 0.9 * {1, 0} + 0.1 * {0.5, 0.5}
         space = ParamSpace((ParamDomain("c", "categorical", choices=("A", "B")),))
-        model = fit_kde([Config(("A",))] * 5, space)
-        assert density(model, [Config(("A",)), Config(("B",))]) == pytest.approx([0.95, 0.05])
+        model = fit_kde(encoded(space, [Config(("A",))] * 5), space)
+        assert density(model, np.array([[0.0], [1.0]])) == pytest.approx([0.95, 0.05])
 
     def test_mc_normalization_1d(self, unit_space):
         rng = np.random.default_rng(2)
         members = [sample_uniform(unit_space, rng) for _ in range(10)]
-        model = fit_kde(members, unit_space)
+        model = fit_kde(encoded(unit_space, members), unit_space)
         xs = rng.uniform(0.0, 1.0, 100_000)
-        integral = np.mean(density(model, [Config((float(x),)) for x in xs]))
+        integral = np.mean(density(model, xs[:, None]))
         assert integral == pytest.approx(1.0, abs=0.05)
 
     def test_empty_members_error(self, unit_space):
         with pytest.raises(SurrogateError):
-            fit_kde([], unit_space)
-
-    def test_member_outside_space_error(self, unit_space):
-        with pytest.raises(Exception):
-            fit_kde([Config((2.0,))], unit_space)
+            fit_kde(np.empty((0, 1)), unit_space)
 
     def test_categorical_tables_sum_to_one(self, mixed_space, rng):
         members = [sample_uniform(mixed_space, rng) for _ in range(20)]
-        model = fit_kde(members, mixed_space)
+        model = fit_kde(encoded(mixed_space, members), mixed_space)
         for table in model.categorical_tables.values():
             assert table.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDensity:
     def test_center_beats_far_tail(self, unit_space):
-        model = fit_kde([Config((0.2,))], unit_space)
-        center, tail = density(model, [Config((0.2,)), Config((0.95,))])
+        model = fit_kde(np.array([[0.2]]), unit_space)
+        center, tail = density(model, np.array([[0.2], [0.95]]))
         assert center > tail
 
     def test_coincident_points_hit_stability_clip(self, mixed_space):
@@ -145,7 +192,7 @@ class TestDensity:
         # stability clip takes over and tightens as the group grows
         cfg = Config((0.5, 5, "A"))
         for n in (1, 2, 5):
-            model = fit_kde([cfg] * n, mixed_space)
+            model = fit_kde(encoded(mixed_space, [cfg] * n), mixed_space)
             for dim, domain in enumerate(mixed_space.domains):
                 if domain.kind == "categorical":
                     continue
@@ -161,14 +208,14 @@ class TestDensity:
         )
         # every choice equally represented -> tables stay uniform
         members = [Config((a, b)) for a in ("A", "B") for b in ("X", "Y", "Z")]
-        model = fit_kde(members, space)
-        assert density(model, [Config(("A", "X"))]) == pytest.approx([1 / 2 * 1 / 3])
+        model = fit_kde(encoded(space, members), space)
+        assert density(model, encoded(space, [Config(("A", "X"))])) == pytest.approx([1 / 2 * 1 / 3])
 
     def test_positivity_everywhere(self, mixed_space, rng):
         members = [sample_uniform(mixed_space, rng) for _ in range(5)]
-        model = fit_kde(members, mixed_space)
+        model = fit_kde(encoded(mixed_space, members), mixed_space)
         probes = [sample_uniform(mixed_space, rng) for _ in range(200)]
-        assert np.all(density(model, probes) > 0)
+        assert np.all(density(model, encoded(mixed_space, probes)) > 0)
 
 
 def reference_density(model, config):
@@ -199,24 +246,20 @@ class TestBatchDensity:
         rng = np.random.default_rng(seed)
         space = random_space(rng, max_dims=30)
         members = [sample_uniform(space, rng) for _ in range(int(rng.integers(1, 40)))]
-        model = fit_kde(members, space)
+        model = fit_kde(encoded(space, members), space)
         probes = members[:5]
         for _ in range(20):
-            probes += [sample_uniform(space, rng), *sample_from_kde(model, rng, 1)]
-        batch = density(model, probes)
+            probes += [sample_uniform(space, rng), decode(space, sample_from_kde(model, rng, 1)[0])]
+        rows = encoded(space, probes)
+        batch = density(model, rows)
         assert np.array_equal(batch, [reference_density(model, p) for p in probes])
-        assert np.array_equal(batch, np.concatenate([density(model, [p]) for p in probes]))
-
-    def test_invalid_config_rejected(self, unit_space):
-        model = fit_kde([Config((0.5,))], unit_space)
-        with pytest.raises(SpaceError):
-            density(model, [Config((0.5,)), Config((2.0,))])
+        assert np.array_equal(batch, np.concatenate([density(model, row[None]) for row in rows]))
 
 
 class TestProposeNext:
     def make_clustered_history(self, space, rng, n=60):
         # good trials cluster mid-domain, bad trials at the edges
-        history = History()
+        history = History(space)
         for i in range(1, n + 1):
             if i % 4 == 0:
                 x = float(rng.uniform(0.4, 0.6))
@@ -237,7 +280,7 @@ class TestProposeNext:
         assert a == b
 
     def test_proposal_validates(self, mixed_space, rng):
-        history = History()
+        history = History(mixed_space)
         for i in range(1, 30):
             cfg = sample_uniform(mixed_space, rng)
             history.append(
@@ -253,13 +296,13 @@ class TestProposeNext:
     def test_single_candidate_degenerate_argmax(self, unit_space, rng):
         history = self.make_clustered_history(unit_space, rng)
         good, _ = split_history(history, 0.15)
-        model = fit_kde([t.config for t in good], unit_space)
+        model = fit_kde(history.rows[good], unit_space)
         (draw,) = sample_from_kde(model, np.random.default_rng(9), 1)
         cfg, _ = propose_next(history, unit_space, 0.15, 1, np.random.default_rng(9))
-        assert cfg == draw
+        assert cfg == decode(unit_space, draw)
 
     def test_best_ratio_of_reference_draws(self, mixed_space, rng):
-        history = History()
+        history = History(mixed_space)
         for i in range(1, 40):
             score = float(rng.normal())
             history.append(
@@ -267,14 +310,15 @@ class TestProposeNext:
                             j_score=score, proposal_density=1.0, lambda_used=0.0)
             )
         good, bad = split_history(history, 0.15)
-        good_model = fit_kde([t.config for t in good], mixed_space)
-        bad_model = fit_kde([t.config for t in bad], mixed_space)
+        good_model = fit_kde(history.rows[good], mixed_space)
+        bad_model = fit_kde(history.rows[bad], mixed_space)
         draws = np.random.default_rng(4)
         candidates = [reference_sample_from_kde(good_model, draws) for _ in range(32)]
-        ratios = density(good_model, candidates) / density(bad_model, candidates)
+        rows = encoded(mixed_space, candidates)
+        ratios = density(good_model, rows) / density(bad_model, rows)
         cfg, q = propose_next(history, mixed_space, 0.15, 32, np.random.default_rng(4))
-        assert cfg == candidates[int(np.argmax(ratios))]
-        assert np.array_equal([q], density(good_model, [cfg]))
+        assert repr(cfg) == repr(candidates[int(np.argmax(ratios))])
+        assert np.array_equal([q], density(good_model, encoded(mixed_space, [cfg])))
 
     def test_proposals_track_good_cluster(self, unit_space, rng):
         history = self.make_clustered_history(unit_space, rng, n=80)
@@ -389,20 +433,177 @@ def reference_validate_batch(space, *configs):
         reference_require_valid(space, config)
 
 
+# The Config-based surrogate and objective that the array path replaced, kept
+# verbatim as the oracle of the whole loop; only the names carry a `config_`
+# prefix, and the batch validator they called is `reference_validate_batch`.
+
+
+def config_rank_top(history: History, k: float, score):
+    """Trials ranked by descending score, lower step first on ties, and their top_count."""
+    n = len(history)
+    if n < 2:
+        raise SurrogateError("need at least 2 trials to rank")
+    if not 0 < k < 1:
+        raise SurrogateError("k must lie in (0, 1)")
+    ranked = sorted(history.trials, key=lambda t: (-score(t), t.step))
+    return ranked, top_count(n, k)
+
+
+def config_split_history(history: History, k: float):
+    """Partition trials into (good, bad) at the top-k quantile of j_score,
+    each group in step order."""
+    ranked, n_good = config_rank_top(history, k, lambda t: t.j_score)
+    step = lambda t: t.step
+    return sorted(ranked[:n_good], key=step), sorted(ranked[n_good:], key=step)
+
+
+def config_scott_bandwidth(sigma: float, n: int, n_numeric: int, width: float) -> float:
+    bw = sigma * n ** (-1.0 / (n_numeric + 4))
+    # adaptive minimum keeps proposals diverse when members coincide; without
+    # it the search freezes on whatever point the good group collapses to
+    return max(bw, width / min(100, n + 1))
+
+
+def config_fit_kde(members, space: ParamSpace) -> KdeModel:
+    """Fit a Parzen density with one component per member config."""
+    if not members:
+        raise SurrogateError("cannot fit a KDE on zero members")
+    reference_validate_batch(space, *members)
+
+    n = len(members)
+    columns = list(zip(*(cfg.values for cfg in members)))
+    numeric = [i for i, d in enumerate(space.domains) if d.is_numeric]
+    block = np.array([columns[i] for i in numeric], dtype=float).reshape(len(numeric), n)
+    rows = iter(zip(block, np.std(block, axis=1).tolist()))
+    centers, bandwidths, tables, trunc_mass, lattice_pmf = [], {}, {}, {}, {}
+    for i, d in enumerate(space.domains):
+        if d.is_numeric:
+            arr, sigma = next(rows)
+            centers.append(arr)
+            bandwidths[i] = bw = config_scott_bandwidth(sigma, n, len(numeric), d.width())
+            if d.kind == "continuous":
+                hi_mass = erf((d.hi - arr) / (bw * SQRT2))
+                lo_mass = erf((d.lo - arr) / (bw * SQRT2))
+                trunc_mass[i] = 0.5 * (hi_mass - lo_mass)
+            else:
+                lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
+                z = (lattice[None, :] - arr[:, None]) / bw
+                w = np.exp(-0.5 * z * z)
+                lattice_pmf[i] = w / w.sum(axis=1, keepdims=True)
+        else:
+            centers.append(None)
+            counts = np.array([columns[i].count(c) for c in d.choices], dtype=float)
+            empirical = counts / counts.sum()
+            uniform = np.full(len(d.choices), 1.0 / len(d.choices))
+            tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
+    return KdeModel(
+        space=space,
+        centers=tuple(centers),
+        bandwidths=bandwidths,
+        categorical_tables=tables,
+        n_components=n,
+        trunc_mass=trunc_mass,
+        lattice_pmf=lattice_pmf,
+    )
+
+
+def config_density(model: KdeModel, configs) -> np.ndarray:
+    """Mixture densities at a list of configs; each strictly positive."""
+    reference_validate_batch(model.space, *configs)
+    per_component = np.ones((len(configs), model.n_components))
+    categorical_factor = np.ones(len(configs))
+    for i, (d, col) in enumerate(zip(model.space.domains, zip(*(c.values for c in configs)))):
+        if d.kind == "continuous":
+            bw = model.bandwidths[i]
+            z = (np.array(col, dtype=float)[:, None] - model.centers[i]) / bw
+            pdf = np.exp(-0.5 * z * z) / (bw * SQRT2PI)
+            per_component *= pdf / model.trunc_mass[i]
+        elif d.kind == "integer":
+            per_component *= model.lattice_pmf[i][:, [int(v) - int(d.lo) for v in col]].T
+        else:
+            table = model.categorical_tables[i]
+            categorical_factor *= table[[d.choices.index(v) for v in col]]
+    return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
+
+
+def config_sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> list:
+    """Draw n configs in turn: pick a component uniformly, then sample each kernel."""
+    cdfs = {}  # built as Generator.choice builds them: same index, same RNG state
+    for i, pmf in (*model.lattice_pmf.items(), *model.categorical_tables.items()):
+        cdfs[i] = pmf.cumsum(axis=-1)
+        cdfs[i] /= cdfs[i][..., -1:]
+    draws = []
+    for _ in range(n):
+        comp = int(rng.integers(model.n_components))
+        values = []
+        for i, d in enumerate(model.space.domains):
+            if d.kind == "continuous":
+                center = model.centers[i][comp]
+                bw = model.bandwidths[i]
+                for _ in range(MAX_REJECTION_TRIES):
+                    x = rng.normal(center, bw)
+                    if d.lo <= x <= d.hi:
+                        break
+                else:
+                    x = min(max(center, d.lo), d.hi)
+                values.append(float(x))
+            elif d.kind == "integer":
+                values.append(int(d.lo) + int(cdfs[i][comp].searchsorted(rng.random(), side="right")))
+            else:
+                values.append(d.choices[int(cdfs[i].searchsorted(rng.random(), side="right"))])
+        draws.append(Config(tuple(values)))
+    return draws
+
+
+def config_propose_next(history, space, k, n_candidates, rng):
+    """Propose the next config by maximizing the good/bad density ratio."""
+    if n_candidates < 1:
+        raise SurrogateError("need at least one candidate")
+    good, bad = config_split_history(history, k)
+    good_model = config_fit_kde([t.config for t in good], space)
+    bad_model = config_fit_kde([t.config for t in bad], space)
+    candidates = config_sample_from_kde(good_model, rng, n_candidates)
+    g = config_density(good_model, candidates)
+    best = int(np.argmax(g / config_density(bad_model, candidates)))
+    return candidates[best], float(g[best])
+
+
+def config_windowed_variance(history, g_model, current, epsilon, window):
+    """Population variance of clip-weighted f values over the trailing window."""
+    if window < 2:
+        raise ObjectiveError("window must be at least 2")
+    entries = [(t.config, t.f_value, t.proposal_density) for t in history.trials[1 - window:]]
+    entries.append(current)
+    g = config_density(g_model, [cfg for cfg, _, _ in entries])
+    weighted = [importance_weight(gi, q, epsilon) * f for gi, (_, f, q) in zip(g, entries)]
+    return float(np.var(weighted))
+
+
+def config_build_g_model(history, k, space):
+    """KDE over the configs of the top-k trials ranked by raw f value."""
+    ranked, n_top = config_rank_top(history, k, lambda t: t.f_value)
+    return config_fit_kde([t.config for t in ranked[:n_top]], space)  # rank order fixes component order
+
+
 def space_and_members(seed, strategy):
     """A random space (or a strategy's), and 1-58 members, some repeated so
-    that coincident members give zero sigma and near one-hot lattice pmfs."""
+    that coincident members give zero sigma and near one-hot lattice pmfs.
+    Random integer lattices hold up to 111 values, as trend_following's slow
+    windows do, so one member value often stands for several members."""
     rng = np.random.default_rng(seed)
-    space = strategy_preset(strategy).param_space if strategy else random_space(rng, max_dims=30)
+    space = (
+        strategy_preset(strategy).param_space if strategy
+        else random_space(rng, max_dims=30, max_width=111)
+    )
     members = [sample_uniform(space, rng) for _ in range(int(rng.integers(1, 30)))]
     members += [members[int(i)] for i in rng.integers(len(members), size=rng.integers(0, 30))]
     return space, members
 
 
-def space_error(validate, space, configs):
-    """The SpaceError message validate raises for configs, or None."""
+def space_error(validate, target, configs):
+    """The SpaceError message validate(target, *configs) raises, or None."""
     try:
-        validate(space, *configs)
+        validate(target, *configs)
     except SpaceError as exc:
         return str(exc)
     return None
@@ -436,20 +637,25 @@ class TestFastPathMatchesReference:
     @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
     def test_draws_match_rng_choice(self, seed, strategy):
         space, members = space_and_members(seed, strategy)
-        model = fit_kde(members, space)
+        model = fit_kde(encoded(space, members), space)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        batch = sample_from_kde(model, fast, 20)
-        assert batch == [reference_sample_from_kde(model, slow) for _ in range(20)]
+
+        def draws(n):  # the reprs hold each value's type: an int is no float in a log
+            return repr([decode(space, row) for row in sample_from_kde(model, fast, n)])
+
+        assert draws(20) == repr([reference_sample_from_kde(model, slow) for _ in range(20)])
         assert fast.bit_generator.state == slow.bit_generator.state
         for _ in range(5):
-            assert sample_from_kde(model, fast, 1) == [reference_sample_from_kde(model, slow)]
+            assert draws(1) == repr([reference_sample_from_kde(model, slow)])
             assert fast.bit_generator.state == slow.bit_generator.state
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
     def test_fit_matches_per_column_fit(self, seed, strategy):
+        # the lattice pmfs come from one table row per distinct member value;
+        # they must equal the per-member reference rows bit for bit
         space, members = space_and_members(seed, strategy)
-        model, reference = fit_kde(members, space), reference_fit_kde(members, space)
+        model, reference = fit_kde(encoded(space, members), space), reference_fit_kde(members, space)
         numeric = [i for i, d in enumerate(space.domains) if d.is_numeric]
         per_column = [
             reference_scott_bandwidth(
@@ -481,7 +687,10 @@ class TestFastPathMatchesReference:
         ),
         resize=st.sampled_from([None, None, None, (0, -1), (5, 1)]),
     )
-    def test_validator_matches_per_config(self, seed, n_configs, plants, resize):
+    def test_append_validates_as_per_config(self, seed, n_configs, plants, resize):
+        # History.append is where a config enters the surrogate's arrays: it
+        # rejects what the per-config validator rejects, with its message, and
+        # the row it keeps decodes back to an equal config
         rng = np.random.default_rng(seed)
         space = random_space(rng, max_dims=6)
         valid = [sample_uniform(space, rng).values for _ in range(n_configs)]
@@ -492,14 +701,19 @@ class TestFastPathMatchesReference:
         if resize:  # one config one value short or long
             row, step = resize
             rows[row % n_configs] = rows[row % n_configs][:step] if step < 0 else rows[row % n_configs] * 2
-        batch = [Config(tuple(row)) for row in rows]
-        assert space_error(require_valid, space, batch) == space_error(
-            reference_validate_batch, space, batch
-        )
-        for config in batch:
-            assert space_error(require_valid, space, [config]) == space_error(
-                reference_validate_batch, space, [config]
-            )
+        def append(history, config):
+            history.append(TrialRecord(step=1, config=config, f_value=0.0, j_score=0.0,
+                                       proposal_density=1.0, lambda_used=0.0))
+
+        for config in (Config(tuple(row)) for row in rows):
+            history = History(space)
+            expected = space_error(reference_validate_batch, space, [config])
+            assert space_error(append, history, [config]) == expected
+            assert space_error(require_valid, space, [config]) == expected
+            if expected is None:
+                assert decode(space, history.rows[0]) == config
+            else:
+                assert len(history) == 0
 
     @pytest.mark.parametrize(
         "method, strategy, scenario",
@@ -509,12 +723,14 @@ class TestFastPathMatchesReference:
         ],
     )
     def test_whole_loop_writes_same_log(self, tmp_path, monkeypatch, method, strategy, scenario):
+        # budget 150 lets the bad group pass 99 members, where the bandwidth
+        # floor width / min(100, n + 1) stops tightening
         def trial_log(name):
             doc = {
                 "method": method,
                 "strategy": strategy,
                 "scenario": scenario,
-                "optimizer": {"budget": 60},
+                "optimizer": {"budget": 150},
                 "seeds": [0],
                 "output_dir": str(tmp_path / name),
             }
@@ -524,13 +740,7 @@ class TestFastPathMatchesReference:
             return log.read_bytes()
 
         fast = trial_log("fast")
-        for namespace in (surrogate, optimizer, blackbox):
-            monkeypatch.setattr(namespace, "require_valid", reference_validate_batch)
-        monkeypatch.setattr(surrogate, "fit_kde", reference_fit_kde)
-        monkeypatch.setattr(objective, "fit_kde", reference_fit_kde)
-        monkeypatch.setattr(
-            surrogate,
-            "sample_from_kde",
-            lambda model, rng, n: [reference_sample_from_kde(model, rng) for _ in range(n)],
-        )
+        monkeypatch.setattr(optimizer, "propose_next", config_propose_next)
+        monkeypatch.setattr(optimizer, "build_g_model", config_build_g_model)
+        monkeypatch.setattr(optimizer, "windowed_variance", config_windowed_variance)
         assert trial_log("reference") == fast
