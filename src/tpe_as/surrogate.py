@@ -42,7 +42,9 @@ class History:
     """Append-only ordered record of all evaluated trials.  Each config is
     validated on append and encoded once into a row of `rows`, an (n x m)
     float matrix with categoricals as choice indices (`space.encode`), which
-    the surrogate fits and scores; only the trial records hold Configs."""
+    the surrogate fits and scores; only the trial records hold Configs.  The
+    surrogate indexes tables by encoded value, where an out-of-domain integer
+    would silently read another lattice column, so append keeps this guard."""
 
     def __init__(self, space: ParamSpace):
         self.space = space
@@ -131,14 +133,12 @@ def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
     for i, arr in zip(numeric, block):
         centers[i], d = arr, space.domains[i]
         if d.kind == "integer":
-            # a pmf row depends only on bw and the member's value: with more members
-            # than lattice values, build one table row per value and gather them
+            # a pmf row depends only on bw and the member's value: build one
+            # (lattice x lattice) table and gather each member's row from it
             lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
-            table = n > len(lattice)
-            z = (lattice[None, :] - (lattice if table else arr)[:, None]) / bandwidths[i]
+            z = (lattice[None, :] - lattice[:, None]) / bandwidths[i]
             w = np.exp(-0.5 * z * z)
-            pmf = w / w.sum(axis=1, keepdims=True)
-            lattice_pmf[i] = pmf[(arr - d.lo).astype(int)] if table else pmf
+            lattice_pmf[i] = (w / w.sum(axis=1, keepdims=True))[(arr - d.lo).astype(int)]
     for i, d in enumerate(space.domains):
         if d.kind == "categorical":
             empirical = np.bincount(rows[:, i].astype(int), minlength=len(d.choices)) / n

@@ -652,7 +652,7 @@ class TestFastPathMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
     def test_fit_matches_per_column_fit(self, seed, strategy):
-        # the lattice pmfs come from one table row per distinct member value;
+        # the lattice pmfs are rows gathered from one table per integer dimension;
         # they must equal the per-member reference rows bit for bit
         space, members = space_and_members(seed, strategy)
         model, reference = fit_kde(encoded(space, members), space), reference_fit_kde(members, space)
