@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.special import erf
@@ -148,58 +149,67 @@ def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
 
 def density(model: KdeModel, x: np.ndarray) -> np.ndarray:
     """Mixture densities, each strictly positive, at the rows of an encoded block
-    from a History or `sample_from_kde`, so not validated again.  Kernels form a
-    (rows x components) array, multiplied in place one dimension at a time in
-    order and averaged over components: each entry equals a one-row call's."""
-    per_component = np.ones((len(x), model.n_components))
-    z, kernel = np.empty_like(per_component), np.empty_like(per_component)
+    from a History or `sample_from_kde`, so not validated again.  With z and c
+    the rows and centers centred on the mean center and scaled by bandwidth,
+    every continuous log kernel, log_norm - |z - c|^2 / 2 with |z - c|^2
+    clamped at 0, comes from one GEMM of [z, |z|^2, 1] and
+    [c, -1/2, log_norm - |c|^2 / 2], and takes one `exp`; lattice pmfs and
+    categorical tables multiply in after.  Within 1e-12 relative of the
+    per-dimension product; a row's last bits may depend on its batch."""
+    domains = model.space.domains
+    cont = [i for i, d in enumerate(domains) if d.kind == "continuous"]
+    bw = np.array([model.bandwidths[i] for i in cont])
+    centers = np.array([model.centers[i] for i in cont]).reshape(len(cont), model.n_components).T
+    mu = centers.mean(axis=0)
+    c, z = (centers - mu) / bw, (x[:, cont] - mu) / bw
+    log_norm = -np.log(bw * SQRT2PI).sum() - np.log([model.trunc_mass[i] for i in cont]).sum(axis=0)
+    z = np.column_stack([z, (z * z).sum(axis=1), np.ones(len(x))])
+    c = np.column_stack([c, np.full(len(c), -0.5), log_norm - 0.5 * (c * c).sum(axis=1)])
+    per_component = np.exp(np.minimum(z @ c.T, log_norm))
     categorical_factor = np.ones(len(x))
-    for i, d in enumerate(model.space.domains):
-        if d.kind == "continuous":
-            bw = model.bandwidths[i]
-            np.subtract(x[:, i, None], model.centers[i], out=z)
-            z /= bw
-            np.multiply(z, -0.5, out=kernel)
-            kernel *= z
-            np.exp(kernel, out=kernel)
-            kernel /= bw * SQRT2PI
-            kernel /= model.trunc_mass[i]
-            per_component *= kernel
-        elif d.kind == "integer":
+    for i, d in enumerate(domains):
+        if d.kind == "integer":
             per_component *= model.lattice_pmf[i][:, (x[:, i] - d.lo).astype(int)].T
-        else:
+        elif d.kind == "categorical":
             categorical_factor *= model.categorical_tables[i][x[:, i].astype(int)]
     return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
 
 
 def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n encoded configs into an (n x m) block with the RNG calls of one
-    config at a time: `integers` picks a component, then each dimension in
-    order takes `normal` draws until one is in bounds, or one `random()` that
-    is looked up after the loop in a cumulative pmf, as `Generator.choice` does."""
-    kernels = [(d.lo, d.hi, model.centers[i] if d.kind == "continuous" else None, model.bandwidths.get(i))
-               for i, d in enumerate(model.space.domains)]
-    integers, normal, random = rng.integers, rng.normal, rng.random
+    """Draw n encoded configs into an (n x m) block on the RNG stream of one config
+    at a time: `integers` picks a component, then each dimension in order takes
+    `normal` draws until one is in bounds, or one `random()` looked up after the
+    loop in a cumulative pmf, as `Generator.choice` does.  Draws are batched on
+    that stream: a run of adjacent continuous dims takes one `standard_normal(size)`,
+    used in order as `c + bw * z` (the bits of `normal(c, bw)`) before any scalar
+    retry draw, and a run of other dims one `random(size)`."""
+    domains, runs = model.space.domains, []
+    for cont, dims in groupby(range(model.space.m), lambda i: domains[i].kind == "continuous"):
+        dims = list(dims)
+        centers = np.array([model.centers[i] for i in dims]).T.tolist() if cont else None  # per component
+        runs.append((len(dims), centers, [(model.bandwidths.get(i), domains[i].lo, domains[i].hi) for i in dims]))
+    integers, standard_normal, random = rng.integers, rng.standard_normal, rng.random
     comps, draws = [], []
     for _ in range(n):
         comp = integers(model.n_components)
         comps.append(comp)
         row = []
-        for lo, hi, centers, bw in kernels:
+        for size, centers, kernels in runs:
             if centers is None:
-                row.append(random())
+                row += random(size).tolist()
                 continue
-            center = centers[comp]
-            for _ in range(MAX_REJECTION_TRIES):
-                x = normal(center, bw)
-                if lo <= x <= hi:
-                    break
-            else:
-                x = min(max(center, lo), hi)
-            row.append(x)
+            z = standard_normal(size).tolist()[::-1]  # popped in draw order
+            for center, (bw, lo, hi) in zip(centers[comp], kernels):
+                for _ in range(MAX_REJECTION_TRIES):
+                    x = center + bw * (z.pop() if z else standard_normal())
+                    if lo <= x <= hi:
+                        break
+                else:
+                    x = min(max(center, lo), hi)
+                row.append(x)
         draws.append(row)
     out = np.array(draws, dtype=float).reshape(n, model.space.m)
-    for i, d in enumerate(model.space.domains):
+    for i, d in enumerate(domains):
         if d.kind != "continuous":
             pmf = model.lattice_pmf[i][comps] if d.kind == "integer" else model.categorical_tables[i]
             cdf = pmf.cumsum(axis=-1)

@@ -242,18 +242,29 @@ class TestBatchDensity:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_batch_equals_per_config(self, seed):
-        # exact equality: trial logs depend on every bit of these densities
+        # within the declared tolerance of the per-dimension product: the GEMM
+        # rounds each row by the batch shape, so one-row calls may differ in the
+        # last bits too.  The probes include every member row and the same rows
+        # one ulp toward each bound, where |x - c|^2 nearly cancels to 0
         rng = np.random.default_rng(seed)
         space = random_space(rng, max_dims=30)
         members = [sample_uniform(space, rng) for _ in range(int(rng.integers(1, 40)))]
         model = fit_kde(encoded(space, members), space)
-        probes = members[:5]
+        probes = list(members)
         for _ in range(20):
             probes += [sample_uniform(space, rng), decode(space, sample_from_kde(model, rng, 1)[0])]
+        cont = [d.kind == "continuous" for d in space.domains]
+        for bound in ("lo", "hi"):
+            toward = [getattr(d, bound) if d.kind == "continuous" else 0.0 for d in space.domains]
+            moved = np.where(cont, np.nextafter(encoded(space, members), toward), encoded(space, members))
+            probes += [decode(space, row) for row in moved]
         rows = encoded(space, probes)
         batch = density(model, rows)
-        assert np.array_equal(batch, [reference_density(model, p) for p in probes])
-        assert np.array_equal(batch, np.concatenate([density(model, row[None]) for row in rows]))
+        assert np.all(np.isfinite(batch)) and np.all(batch > 0)
+        np.testing.assert_allclose(batch, [reference_density(model, p) for p in probes], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            batch, np.concatenate([density(model, row[None]) for row in rows]), rtol=1e-12, atol=0
+        )
 
 
 class TestProposeNext:
@@ -600,6 +611,27 @@ def space_and_members(seed, strategy):
     return space, members
 
 
+def bound_members(seed, layout):
+    """A space of 2-8 continuous dims, consecutive or alternating with
+    categorical dims, and 1-20 members on a bound of every continuous dim."""
+    rng = np.random.default_rng(seed)
+    domains = []
+    for i in range(int(rng.integers(2, 9))):
+        lo = float(rng.uniform(-10, 5))
+        domains.append(ParamDomain(f"x{i}", "continuous", lo, lo + float(rng.uniform(0.5, 10))))
+        if layout == "alternating":
+            domains.append(ParamDomain(f"c{i}", "categorical", choices=("A", "B", "C")))
+    space = ParamSpace(tuple(domains))
+    members = []
+    for _ in range(int(rng.integers(1, 21))):
+        values = sample_uniform(space, rng).values
+        members.append(Config(tuple(
+            (d.lo, d.hi)[int(rng.integers(2))] if d.kind == "continuous" else v
+            for d, v in zip(space.domains, values)
+        )))
+    return space, members
+
+
 def space_error(validate, target, configs):
     """The SpaceError message validate(target, *configs) raises, or None."""
     try:
@@ -634,9 +666,16 @@ ODD_VALUES = {
 
 class TestFastPathMatchesReference:
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
-    def test_draws_match_rng_choice(self, seed, strategy):
-        space, members = space_and_members(seed, strategy)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        strategy=st.sampled_from([None, *STRATEGIES]),
+        on_bounds=st.sampled_from([None, None, "consecutive", "alternating"]),
+    )
+    def test_draws_match_rng_choice(self, seed, strategy, on_bounds):
+        # members on the bounds reject about half of all normal draws, so a run
+        # of continuous dims spends its pre-drawn normals on retries and goes on
+        # with scalar draws
+        space, members = space_and_members(seed, strategy) if on_bounds is None else bound_members(seed, on_bounds)
         model = fit_kde(encoded(space, members), space)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
 
@@ -737,10 +776,16 @@ class TestFastPathMatchesReference:
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
             assert cli.main(["run", str(tmp_path / f"{name}.json")]) == 0
             (log,) = (tmp_path / name).glob("*.jsonl")
-            return log.read_bytes()
+            return [json.loads(line) for line in log.read_text().splitlines()]
 
         fast = trial_log("fast")
         monkeypatch.setattr(optimizer, "propose_next", config_propose_next)
         monkeypatch.setattr(optimizer, "build_g_model", config_build_g_model)
         monkeypatch.setattr(optimizer, "windowed_variance", config_windowed_variance)
-        assert trial_log("reference") == fast
+        reference = trial_log("reference")
+        # the same configs and f values; the densities, and the j scores built
+        # from them, are within the declared tolerance of the per-dimension product
+        exact = ("step", "config", "f", "lambda", "flags")
+        assert [[t[key] for key in exact] for t in fast] == [[t[key] for key in exact] for t in reference]
+        for key, atol in (("proposal_density", 0), ("j_score", 1e-12)):
+            np.testing.assert_allclose([t[key] for t in fast], [t[key] for t in reference], rtol=1e-12, atol=atol)
