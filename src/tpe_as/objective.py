@@ -63,5 +63,5 @@ def build_g_model(history: History, k: float, space: ParamSpace) -> KdeModel:
     Approximates the distribution of high-quality configurations; refreshed
     every optimizer step.
     """
-    ranked, n_top = rank_top(np.array([t.f_value for t in history.trials]), k)
+    ranked, n_top = rank_top(history.f_values, k)
     return fit_kde(history.rows[ranked[:n_top]], space)  # rank order fixes component order

@@ -43,14 +43,13 @@ class History:
     """Append-only ordered record of all evaluated trials.  Each config is
     validated on append and encoded once into a row of `rows`, an (n x m)
     float matrix with categoricals as choice indices (`space.encode`), which
-    the surrogate fits and scores; only the trial records hold Configs.  The
-    surrogate indexes tables by encoded value, where an out-of-domain integer
-    would silently read another lattice column, so append keeps this guard."""
+    the surrogate fits and scores, beside the f_values and j_scores it ranks.
+    An out-of-domain value would silently read another categorical entry or
+    a kernel not normalised over its domain, so append keeps this guard."""
 
     def __init__(self, space: ParamSpace):
-        self.space = space
-        self.trials = []
-        self._rows = np.empty((64, space.m))
+        self.space, self.trials = space, []
+        self._rows, self._scores = np.empty((64, space.m)), np.empty((64, 2))
 
     def append(self, trial: TrialRecord) -> None:
         n = len(self.trials)
@@ -58,27 +57,30 @@ class History:
             raise SurrogateError(f"expected step {n + 1}, got {trial.step}")
         require_valid(self.space, trial.config)
         if n == len(self._rows):
-            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._rows, self._scores = (np.concatenate([a, np.empty_like(a)]) for a in (self._rows, self._scores))
         self._rows[n] = encode(self.space, trial.config)
+        self._scores[n] = trial.f_value, trial.j_score
         self.trials.append(trial)
 
     def __len__(self) -> int:
         return len(self.trials)
 
-    @property
-    def rows(self) -> np.ndarray:
-        return self._rows[: len(self.trials)]
+    rows = property(lambda self: self._rows[: len(self.trials)])
+    f_values = property(lambda self: self._scores[: len(self.trials), 0])
+    j_scores = property(lambda self: self._scores[: len(self.trials), 1])
 
 
 @dataclass(frozen=True)
 class KdeModel:
     """Parzen mixture over a ParamSpace, fitted on encoded rows.
 
-    One kernel component per member row.  Continuous dimensions use
-    Gaussian kernels truncated and renormalized to the bounds; integer
-    dimensions use Gaussian weights on the integer lattice; categorical
-    dimensions share one smoothed frequency table across components.
-    Truncation masses and lattice pmfs are precomputed at fit time.
+    One kernel component per member row.  Numeric dimensions use Gaussian
+    kernels exp(-((x - c) / bw)^2 / 2), renormalized to the bounds of a
+    continuous dimension and over the lattice of an integer one;
+    categorical dimensions share one smoothed frequency table across
+    components.  Each component keeps its log normaliser: minus the sum of
+    log(bw * sqrt(2 pi) * truncation mass) over continuous dimensions and
+    of log Z(c), the kernel's sum over the lattice, over integer ones.
     """
 
     space: ParamSpace
@@ -86,8 +88,7 @@ class KdeModel:
     bandwidths: dict  # numeric dim index -> float > 0
     categorical_tables: dict  # categorical dim index -> np.ndarray over choices
     n_components: int
-    trunc_mass: dict  # continuous dim index -> per-component truncation mass
-    lattice_pmf: dict  # integer dim index -> (n_components x lattice) pmf
+    log_norm: np.ndarray  # per component
 
 
 def top_count(n: int, k: float) -> int:
@@ -108,13 +109,15 @@ def rank_top(scores: np.ndarray, k: float):
 def split_history(history: History, k: float):
     """Partition trial indices into (good, bad) at the top-k quantile of
     j_score, each group in step order."""
-    order, n_good = rank_top(np.array([t.j_score for t in history.trials]), k)
+    order, n_good = rank_top(history.j_scores, k)
     return np.sort(order[:n_good]), np.sort(order[n_good:])
 
 
 def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
     """Fit a Parzen density with one component per row of an encoded
-    (members x m) block.  The rows come from a History, so they are valid."""
+    (members x m) block; the rows come from a History, so they are valid.
+    Each lattice sum Z(c) is a difference of two prefix sums of the kernel
+    over lattice offsets -W-1..W, W the widest integer domain's width."""
     n = len(rows)
     if not n:
         raise SurrogateError("cannot fit a KDE on zero members")
@@ -125,53 +128,42 @@ def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
     # members coincide; without it the search freezes on whatever point the good group collapses to
     scott = np.std(block, axis=1, keepdims=True) * n ** (-1.0 / (len(numeric) + 4))
     bw = np.maximum(scott, (hi - lo) / min(100, n + 1))
-    cont = [space.domains[i].kind == "continuous" for i in numeric]
+    cont = np.array([space.domains[i].kind == "continuous" for i in numeric], dtype=bool)
     scale = bw[cont] * SQRT2
     mass = 0.5 * (erf((hi[cont] - block[cont]) / scale) - erf((lo[cont] - block[cont]) / scale))
-    trunc_mass = dict(zip(np.compress(cont, numeric).tolist(), mass))
-    bandwidths = dict(zip(numeric, bw[:, 0].tolist()))
-    centers, tables, lattice_pmf = [None] * space.m, {}, {}
-    for i, arr in zip(numeric, block):
-        centers[i], d = arr, space.domains[i]
-        if d.kind == "integer":
-            # a pmf row depends only on bw and the member's value: build one
-            # (lattice x lattice) table and gather each member's row from it
-            lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
-            z = (lattice[None, :] - lattice[:, None]) / bandwidths[i]
-            w = np.exp(-0.5 * z * z)
-            lattice_pmf[i] = (w / w.sum(axis=1, keepdims=True))[(arr - d.lo).astype(int)]
+    width, offset = (hi - lo)[~cont].astype(int), (block[~cont] - lo[~cont]).astype(int)
+    w = int(width.max(initial=0))
+    prefix = np.exp(-0.5 * (np.arange(-w - 1, w + 1) / bw[~cont]) ** 2).cumsum(axis=1)  # to offsets -w-1..w
+    lattice_sum = np.take_along_axis(prefix, w + 1 + width - offset, 1) - np.take_along_axis(prefix, w - offset, 1)
+    log_norm = -np.log(np.concatenate([bw[cont] * SQRT2PI * mass, lattice_sum])).sum(axis=0)
+    centers, tables = tuple(dict(zip(numeric, block)).get(i) for i in range(space.m)), {}
     for i, d in enumerate(space.domains):
         if d.kind == "categorical":
             empirical = np.bincount(rows[:, i].astype(int), minlength=len(d.choices)) / n
             tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * (1.0 / len(d.choices))
-    return KdeModel(space, tuple(centers), bandwidths, tables, n, trunc_mass, lattice_pmf)
+    return KdeModel(space, centers, dict(zip(numeric, bw[:, 0].tolist())), tables, n, log_norm)
 
 
 def density(model: KdeModel, x: np.ndarray) -> np.ndarray:
     """Mixture densities, each strictly positive, at the rows of an encoded block
     from a History or `sample_from_kde`, so not validated again.  With z and c
-    the rows and centers centred on the mean center and scaled by bandwidth,
-    every continuous log kernel, log_norm - |z - c|^2 / 2 with |z - c|^2
-    clamped at 0, comes from one GEMM of [z, |z|^2, 1] and
-    [c, -1/2, log_norm - |c|^2 / 2], and takes one `exp`; lattice pmfs and
-    categorical tables multiply in after.  Within 1e-12 relative of the
-    per-dimension product; a row's last bits may depend on its batch."""
-    domains = model.space.domains
-    cont = [i for i, d in enumerate(domains) if d.kind == "continuous"]
-    bw = np.array([model.bandwidths[i] for i in cont])
-    centers = np.array([model.centers[i] for i in cont]).reshape(len(cont), model.n_components).T
+    the numeric columns of rows and centers centred on the mean center and
+    scaled by bandwidth, every component's numeric kernel product,
+    log_norm - |z - c|^2 / 2 with |z - c|^2 clamped at 0, comes from one GEMM
+    of [z, |z|^2, 1] and [c, -1/2, log_norm - |c|^2 / 2], and takes one `exp`;
+    only the categorical tables multiply in after.  Within 1e-12 relative of
+    the per-dimension product; a row's last bits may depend on its batch."""
+    numeric = list(model.bandwidths)
+    bw = np.array(list(model.bandwidths.values()))
+    centers = np.array([model.centers[i] for i in numeric]).reshape(len(numeric), model.n_components).T
     mu = centers.mean(axis=0)
-    c, z = (centers - mu) / bw, (x[:, cont] - mu) / bw
-    log_norm = -np.log(bw * SQRT2PI).sum() - np.log([model.trunc_mass[i] for i in cont]).sum(axis=0)
+    c, z = (centers - mu) / bw, (x[:, numeric] - mu) / bw
     z = np.column_stack([z, (z * z).sum(axis=1), np.ones(len(x))])
-    c = np.column_stack([c, np.full(len(c), -0.5), log_norm - 0.5 * (c * c).sum(axis=1)])
-    per_component = np.exp(np.minimum(z @ c.T, log_norm))
+    c = np.column_stack([c, np.full(len(c), -0.5), model.log_norm - 0.5 * (c * c).sum(axis=1)])
+    per_component = np.exp(np.minimum(z @ c.T, model.log_norm))
     categorical_factor = np.ones(len(x))
-    for i, d in enumerate(domains):
-        if d.kind == "integer":
-            per_component *= model.lattice_pmf[i][:, (x[:, i] - d.lo).astype(int)].T
-        elif d.kind == "categorical":
-            categorical_factor *= model.categorical_tables[i][x[:, i].astype(int)]
+    for i, table in model.categorical_tables.items():
+        categorical_factor *= table[x[:, i].astype(int)]
     return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
 
 
@@ -182,14 +174,16 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
     loop in a cumulative pmf, as `Generator.choice` does.  Draws are batched on
     that stream: a run of adjacent continuous dims takes one `standard_normal(size)`,
     used in order as `c + bw * z` (the bits of `normal(c, bw)`) before any scalar
-    retry draw, and a run of other dims one `random(size)`."""
+    retry draw, and a run of other dims one `random(size)`.  An integer dim's
+    pmf rows are built only for the drawn components, from the kernel's values
+    at every lattice offset, with the ops and so the bits of a full pmf table."""
     domains, runs = model.space.domains, []
     for cont, dims in groupby(range(model.space.m), lambda i: domains[i].kind == "continuous"):
         dims = list(dims)
         centers = np.array([model.centers[i] for i in dims]).T.tolist() if cont else None  # per component
         runs.append((len(dims), centers, [(model.bandwidths.get(i), domains[i].lo, domains[i].hi) for i in dims]))
     integers, standard_normal, random = rng.integers, rng.standard_normal, rng.random
-    comps, draws = [], []
+    comps, draws, tries = [], [], range(MAX_REJECTION_TRIES)
     for _ in range(n):
         comp = integers(model.n_components)
         comps.append(comp)
@@ -200,7 +194,7 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
                 continue
             z = standard_normal(size).tolist()[::-1]  # popped in draw order
             for center, (bw, lo, hi) in zip(centers[comp], kernels):
-                for _ in range(MAX_REJECTION_TRIES):
+                for _ in tries:
                     x = center + bw * (z.pop() if z else standard_normal())
                     if lo <= x <= hi:
                         break
@@ -209,12 +203,18 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
                 row.append(x)
         draws.append(row)
     out = np.array(draws, dtype=float).reshape(n, model.space.m)
+    for i, table in model.categorical_tables.items():
+        cdf = table.cumsum()
+        out[:, i] = (cdf / cdf[-1]).searchsorted(out[:, i], side="right")
     for i, d in enumerate(domains):
-        if d.kind != "continuous":
-            pmf = model.lattice_pmf[i][comps] if d.kind == "integer" else model.categorical_tables[i]
-            cdf = pmf.cumsum(axis=-1)
-            cdf /= cdf[..., -1:]
-            out[:, i] = (cdf <= out[:, i, None]).sum(axis=1) + (d.lo if d.kind == "integer" else 0)
+        if d.kind == "integer":  # pmf rows of the drawn components, each a window on the kernel over offsets
+            size = int(d.hi - d.lo) + 1
+            z = np.arange(1 - size, size) / model.bandwidths[i]  # (l - c) / bw at offsets l - c = 1-size..size-1
+            kernel = np.exp(-0.5 * z * z)
+            pmf = kernel[(d.hi - model.centers[i][comps]).astype(int)[:, None] + np.arange(size)]
+            cdf = (pmf / pmf.sum(axis=1, keepdims=True)).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            out[:, i] = (cdf <= out[:, i, None]).sum(axis=1) + d.lo
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -218,8 +219,22 @@ class TestDensity:
         assert np.all(density(model, encoded(mixed_space, probes)) > 0)
 
 
+def reference_trunc_mass(d, bw, centers):
+    """Mass of each center's Gaussian kernel inside the bounds of a continuous domain."""
+    return 0.5 * (erf((d.hi - centers) / (bw * SQRT2)) - erf((d.lo - centers) / (bw * SQRT2)))
+
+
+def reference_lattice_pmf(d, bw, centers):
+    """Each center's Gaussian weights on the lattice of an integer domain, renormalized."""
+    lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
+    z = (lattice[None, :] - centers[:, None]) / bw
+    w = np.exp(-0.5 * z * z)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def reference_density(model, config):
-    """The per-config density the batch path replaced, kept as its oracle."""
+    """The per-config density the batch path replaced, kept as its oracle;
+    truncation masses and lattice pmfs come from bandwidths and centers."""
     require_valid(model.space, config)
     per_component = np.ones(model.n_components)
     categorical_factor = 1.0
@@ -229,9 +244,9 @@ def reference_density(model, config):
             bw = model.bandwidths[i]
             z = (float(v) - model.centers[i]) / bw
             pdf = np.exp(-0.5 * z * z) / (bw * SQRT2PI)
-            per_component *= pdf / model.trunc_mass[i]
+            per_component *= pdf / reference_trunc_mass(d, bw, model.centers[i])
         elif d.kind == "integer":
-            per_component *= model.lattice_pmf[i][:, int(v) - int(d.lo)]
+            per_component *= reference_lattice_pmf(d, model.bandwidths[i], model.centers[i])[:, int(v) - int(d.lo)]
         else:
             table = model.categorical_tables[i]
             categorical_factor *= float(table[d.choices.index(v)])
@@ -240,15 +255,20 @@ def reference_density(model, config):
 
 class TestBatchDensity:
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_batch_equals_per_config(self, seed):
+    @given(seed=st.integers(0, 2**32 - 1), max_width=st.sampled_from([30, 111]), coincident=st.booleans())
+    def test_batch_equals_per_config(self, seed, max_width, coincident):
         # within the declared tolerance of the per-dimension product: the GEMM
         # rounds each row by the batch shape, so one-row calls may differ in the
         # last bits too.  The probes include every member row and the same rows
-        # one ulp toward each bound, where |x - c|^2 nearly cancels to 0
+        # one ulp toward each bound, where |x - c|^2 nearly cancels to 0.  Wide
+        # lattices (111 values, as trend_following's slow windows) and coincident
+        # members, whose bandwidths sit at their floor, make |z|^2 and the
+        # lattice sums largest
         rng = np.random.default_rng(seed)
-        space = random_space(rng, max_dims=30)
+        space = random_space(rng, max_dims=30, max_width=max_width)
         members = [sample_uniform(space, rng) for _ in range(int(rng.integers(1, 40)))]
+        if coincident:
+            members = members[:1] * len(members)
         model = fit_kde(encoded(space, members), space)
         probes = list(members)
         for _ in range(20):
@@ -369,7 +389,21 @@ def reference_scott_bandwidth(values: np.ndarray, n_numeric: int, width: float) 
     return max(bw, magic_clip, floor_frac * width)
 
 
-def reference_fit_kde(members, space: ParamSpace) -> KdeModel:
+@dataclass(frozen=True)
+class ConfigKdeModel:
+    """The model the per-column fit and the Config-based oracles build:
+    truncation masses and lattice pmfs are precomputed at fit time."""
+
+    space: ParamSpace
+    centers: tuple  # per dim: component centers (None for categorical)
+    bandwidths: dict  # numeric dim index -> float > 0
+    categorical_tables: dict  # categorical dim index -> np.ndarray over choices
+    n_components: int
+    trunc_mass: dict  # continuous dim index -> per-component truncation mass
+    lattice_pmf: dict  # integer dim index -> (n_components x lattice) pmf
+
+
+def reference_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
     """Fit a Parzen density with one component per member config."""
     if not members:
         raise SurrogateError("cannot fit a KDE on zero members")
@@ -404,7 +438,7 @@ def reference_fit_kde(members, space: ParamSpace) -> KdeModel:
             empirical = counts / counts.sum()
             uniform = np.full(len(d.choices), 1.0 / len(d.choices))
             tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
-    return KdeModel(
+    return ConfigKdeModel(
         space=space,
         centers=tuple(centers),
         bandwidths=bandwidths,
@@ -416,7 +450,8 @@ def reference_fit_kde(members, space: ParamSpace) -> KdeModel:
 
 
 def reference_sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
-    """Draw one config: pick a component uniformly, then sample each kernel."""
+    """Draw one config: pick a component uniformly, then sample each kernel;
+    lattice pmfs come from bandwidths and centers."""
     comp = int(rng.integers(model.n_components))
     values = []
     for i, d in enumerate(model.space.domains):
@@ -431,7 +466,7 @@ def reference_sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Conf
                 x = min(max(center, d.lo), d.hi)
             values.append(float(x))
         elif d.kind == "integer":
-            pmf = model.lattice_pmf[i][comp]
+            pmf = reference_lattice_pmf(d, model.bandwidths[i], model.centers[i])[comp]
             values.append(int(d.lo) + int(rng.choice(len(pmf), p=pmf)))
         else:
             table = model.categorical_tables[i]
@@ -475,7 +510,7 @@ def config_scott_bandwidth(sigma: float, n: int, n_numeric: int, width: float) -
     return max(bw, width / min(100, n + 1))
 
 
-def config_fit_kde(members, space: ParamSpace) -> KdeModel:
+def config_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
     """Fit a Parzen density with one component per member config."""
     if not members:
         raise SurrogateError("cannot fit a KDE on zero members")
@@ -507,7 +542,7 @@ def config_fit_kde(members, space: ParamSpace) -> KdeModel:
             empirical = counts / counts.sum()
             uniform = np.full(len(d.choices), 1.0 / len(d.choices))
             tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
-    return KdeModel(
+    return ConfigKdeModel(
         space=space,
         centers=tuple(centers),
         bandwidths=bandwidths,
@@ -518,7 +553,7 @@ def config_fit_kde(members, space: ParamSpace) -> KdeModel:
     )
 
 
-def config_density(model: KdeModel, configs) -> np.ndarray:
+def config_density(model: ConfigKdeModel, configs) -> np.ndarray:
     """Mixture densities at a list of configs; each strictly positive."""
     reference_validate_batch(model.space, *configs)
     per_component = np.ones((len(configs), model.n_components))
@@ -537,7 +572,7 @@ def config_density(model: KdeModel, configs) -> np.ndarray:
     return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
 
 
-def config_sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> list:
+def config_sample_from_kde(model: ConfigKdeModel, rng: np.random.Generator, n: int) -> list:
     """Draw n configs in turn: pick a component uniformly, then sample each kernel."""
     cdfs = {}  # built as Generator.choice builds them: same index, same RNG state
     for i, pmf in (*model.lattice_pmf.items(), *model.categorical_tables.items()):
@@ -691,8 +726,9 @@ class TestFastPathMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
     def test_fit_matches_per_column_fit(self, seed, strategy):
-        # the lattice pmfs are rows gathered from one table per integer dimension;
-        # they must equal the per-member reference rows bit for bit
+        # bandwidths, centers and categorical tables equal the per-column fit bit
+        # for bit; the log normalisers, whose lattice sums come from one prefix
+        # sum per integer dimension, match the direct sums over each lattice
         space, members = space_and_members(seed, strategy)
         model, reference = fit_kde(encoded(space, members), space), reference_fit_kde(members, space)
         numeric = [i for i, d in enumerate(space.domains) if d.is_numeric]
@@ -708,13 +744,17 @@ class TestFastPathMatchesReference:
         assert list(model.bandwidths) == list(reference.bandwidths)
         for mine, theirs in zip(model.centers, reference.centers):
             assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
-        for mine, theirs in [
-            (model.trunc_mass, reference.trunc_mass),
-            (model.lattice_pmf, reference.lattice_pmf),
-            (model.categorical_tables, reference.categorical_tables),
-        ]:
-            assert list(mine) == list(theirs)
-            assert all(np.array_equal(mine[i], theirs[i]) for i in theirs)
+        assert list(model.categorical_tables) == list(reference.categorical_tables)
+        assert all(np.array_equal(model.categorical_tables[i], t) for i, t in reference.categorical_tables.items())
+        log_norm = np.zeros(len(members))
+        for i, d in enumerate(space.domains):
+            bw, centers = reference.bandwidths[i] if d.is_numeric else None, reference.centers[i]
+            if d.kind == "continuous":
+                log_norm -= np.log(bw * SQRT2PI * reference.trunc_mass[i])
+            elif d.kind == "integer":
+                lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
+                log_norm -= np.log(np.exp(-0.5 * ((lattice[None, :] - centers[:, None]) / bw) ** 2).sum(axis=1))
+        np.testing.assert_allclose(model.log_norm, log_norm, rtol=1e-13, atol=1e-13)
 
     @settings(max_examples=1000, deadline=None)
     @given(
