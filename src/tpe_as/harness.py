@@ -204,11 +204,10 @@ def run_experiment(
 
 def summary_from_log(log_path) -> dict:
     """Recompute a summary row's metrics straight from its trial log."""
-    fs = []
-    for line in Path(log_path).read_text().strip().splitlines():
-        fs.append(json.loads(line)["f"])
-    arr = np.asarray(fs)
-    return {"max_f": float(arr.max()), "variance_f": float(np.var(arr))}
+    fs = np.asarray([json.loads(line)["f"] for line in Path(log_path).read_text().strip().splitlines()])
+    if not fs.size:
+        raise HarnessError(f"no trials in log: {log_path}")
+    return {"max_f": float(fs.max()), "variance_f": float(np.var(fs))}
 
 
 def _median_iqr(values):

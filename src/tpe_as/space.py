@@ -109,6 +109,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, space: ParamSpace, doc: dict) -> "Config":
+        if unknown := sorted(map(repr, set(doc) - {d.name for d in space.domains})):
+            raise SpaceError(f"unknown keys for this space: {', '.join(unknown)}")
         values = []
         for d in space.domains:
             if d.name not in doc:

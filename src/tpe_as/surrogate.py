@@ -80,7 +80,8 @@ class KdeModel:
     categorical dimensions share one smoothed frequency table across
     components.  Each component keeps its log normaliser: minus the sum of
     log(bw * sqrt(2 pi) * truncation mass) over continuous dimensions and
-    of log Z(c), the kernel's sum over the lattice, over integer ones.
+    of log Z(c), the kernel's sum over the lattice, over integer ones; each
+    integer dimension keeps its kernel's prefix sums, which give every Z(c).
     """
 
     space: ParamSpace
@@ -89,6 +90,7 @@ class KdeModel:
     categorical_tables: dict  # categorical dim index -> np.ndarray over choices
     n_components: int
     log_norm: np.ndarray  # per component
+    lattice_prefix: np.ndarray  # integer dims x offsets -W-1..W, W the widest integer width
 
 
 def top_count(n: int, k: float) -> int:
@@ -116,8 +118,7 @@ def split_history(history: History, k: float):
 def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
     """Fit a Parzen density with one component per row of an encoded
     (members x m) block; the rows come from a History, so they are valid.
-    Each lattice sum Z(c) is a difference of two prefix sums of the kernel
-    over lattice offsets -W-1..W, W the widest integer domain's width."""
+    Each lattice sum Z(c) is a difference of two of the model's prefix sums."""
     n = len(rows)
     if not n:
         raise SurrogateError("cannot fit a KDE on zero members")
@@ -134,14 +135,15 @@ def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
     width, offset = (hi - lo)[~cont].astype(int), (block[~cont] - lo[~cont]).astype(int)
     w = int(width.max(initial=0))
     prefix = np.exp(-0.5 * (np.arange(-w - 1, w + 1) / bw[~cont]) ** 2).cumsum(axis=1)  # to offsets -w-1..w
-    lattice_sum = np.take_along_axis(prefix, w + 1 + width - offset, 1) - np.take_along_axis(prefix, w - offset, 1)
+    dim = np.arange(len(prefix))[:, None]
+    lattice_sum = prefix[dim, w + 1 + width - offset] - prefix[dim, w - offset]
     log_norm = -np.log(np.concatenate([bw[cont] * SQRT2PI * mass, lattice_sum])).sum(axis=0)
-    centers, tables = tuple(dict(zip(numeric, block)).get(i) for i in range(space.m)), {}
+    centers, tables = tuple(map(dict(zip(numeric, block)).get, range(space.m))), {}
     for i, d in enumerate(space.domains):
         if d.kind == "categorical":
             empirical = np.bincount(rows[:, i].astype(int), minlength=len(d.choices)) / n
             tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * (1.0 / len(d.choices))
-    return KdeModel(space, centers, dict(zip(numeric, bw[:, 0].tolist())), tables, n, log_norm)
+    return KdeModel(space, centers, dict(zip(numeric, bw[:, 0].tolist())), tables, n, log_norm, prefix)
 
 
 def density(model: KdeModel, x: np.ndarray) -> np.ndarray:
@@ -175,8 +177,9 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
     that stream: a run of adjacent continuous dims takes one `standard_normal(size)`,
     used in order as `c + bw * z` (the bits of `normal(c, bw)`) before any scalar
     retry draw, and a run of other dims one `random(size)`.  An integer dim's
-    pmf rows are built only for the drawn components, from the kernel's values
-    at every lattice offset, with the ops and so the bits of a full pmf table."""
+    uniform u is looked up in the model's prefix sums as base + u * Z(c), base
+    the sum just below c's lattice window, and capped where the window's sum
+    stops growing: in exact arithmetic the cdf rule, never a zero-weight value."""
     domains, runs = model.space.domains, []
     for cont, dims in groupby(range(model.space.m), lambda i: domains[i].kind == "continuous"):
         dims = list(dims)
@@ -206,15 +209,11 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
     for i, table in model.categorical_tables.items():
         cdf = table.cumsum()
         out[:, i] = (cdf / cdf[-1]).searchsorted(out[:, i], side="right")
-    for i, d in enumerate(domains):
-        if d.kind == "integer":  # pmf rows of the drawn components, each a window on the kernel over offsets
-            size = int(d.hi - d.lo) + 1
-            z = np.arange(1 - size, size) / model.bandwidths[i]  # (l - c) / bw at offsets l - c = 1-size..size-1
-            kernel = np.exp(-0.5 * z * z)
-            pmf = kernel[(d.hi - model.centers[i][comps]).astype(int)[:, None] + np.arange(size)]
-            cdf = (pmf / pmf.sum(axis=1, keepdims=True)).cumsum(axis=1)
-            cdf /= cdf[:, -1:]
-            out[:, i] = (cdf <= out[:, i, None]).sum(axis=1) + d.lo
+    for prefix, (i, d) in zip(model.lattice_prefix, [(i, d) for i, d in enumerate(domains) if d.kind == "integer"]):
+        below = len(prefix) // 2 - 1 - (model.centers[i][comps] - d.lo).astype(int)  # prefix index below the window
+        base, top = prefix[below], prefix[below + int(d.hi - d.lo) + 1]
+        pick = prefix.searchsorted(base + out[:, i] * (top - base), side="right")
+        out[:, i] = np.minimum(pick, prefix.searchsorted(top, side="left")) - below - 1 + d.lo
     return out
 
 

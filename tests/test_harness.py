@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import time
 from concurrent.futures import Future
 
@@ -165,6 +166,14 @@ class TestTrialLogs:
         with pytest.raises(SpaceError, match=rf"^{name}: value .* outside {kind} domain$"):
             history_from_jsonl("\n".join(lines), space)
 
+    def test_unknown_keys_rejected(self):
+        # a 6-group threshold_hybrid log under the 5-group space names the keys
+        # of the sixth group, rather than dropping them
+        six, five = (strategy_preset("threshold_hybrid", n_groups=g).param_space for g in (6, 5))
+        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, six)
+        with pytest.raises(SpaceError, match="^unknown keys for this space: 'mom_lb_5', 'mom_th_5', 'rsi_band_5', 'rsi_lb_5', 'sizing_5', 'stop_5'$"):
+            history_from_jsonl(history_to_jsonl(history, six), five)
+
     def test_skipped_step_rejected(self, mixed_space):
         history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
@@ -264,6 +273,13 @@ class TestRunExperiment:
             audited = summary_from_log(out / f"trials_{name}.jsonl")
             assert float(row["max_f"]) == pytest.approx(audited["max_f"], abs=0.0)
             assert float(row["variance_f"]) == pytest.approx(audited["variance_f"], abs=0.0)
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_summary_of_empty_log_names_it(self, tmp_path, text):
+        log = tmp_path / "trials_empty.jsonl"
+        log.write_text(text)
+        with pytest.raises(HarnessError, match=f"^no trials in log: {re.escape(str(log))}$"):
+            summary_from_log(log)
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = make_config(tmp_path, output_dir=str(tmp_path / "serial"))

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -722,6 +723,37 @@ class TestFastPathMatchesReference:
         for _ in range(5):
             assert draws(1) == repr([reference_sample_from_kde(model, slow)])
             assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("u", [0.0, 1 - 2**-53])
+    @pytest.mark.parametrize("n_members", [1, 100])
+    def test_integer_draws_at_edge_uniforms(self, u, n_members):
+        # coincident members put every lattice at the bandwidth floor
+        # width / min(100, n + 1).  At 100 members slow_*'s kernel (bw 1.1)
+        # underflows to 0 about 43 values from its center, inside the 111-wide
+        # window; at 1 member (bw 55) base + u * Z(c) can round up past the
+        # window's last sum, so only the cap keeps the draw in the domain.
+        # Each draw is the Generator.choice cdf index and never a zero-weight
+        # value.  These two floors are the extremes; at some member counts in
+        # between, the two roundings put an edge uniform a value apart (README).
+        edge_rng = SimpleNamespace(  # component 0, zero normals, every uniform u
+            integers=lambda n: 0,
+            standard_normal=lambda size=None: 0.0 if size is None else np.zeros(size),
+            random=lambda size=None: u if size is None else np.full(size, u),
+        )
+        space = strategy_preset("trend_following").param_space
+        integer = [(i, d) for i, d in enumerate(space.domains) if d.kind == "integer"]
+        base = list(sample_uniform(space, np.random.default_rng(0)).values)
+        for v in range(10, 121):
+            for i, d in integer:
+                base[i] = v if d.name.startswith("slow") else 2 + v % 29
+            model = fit_kde(encoded(space, [Config(tuple(base))] * n_members), space)
+            (row,) = sample_from_kde(model, edge_rng, 1)
+            for i, d in integer:
+                pmf = reference_lattice_pmf(d, model.bandwidths[i], model.centers[i][:1])[0]
+                cdf = pmf.cumsum()
+                cdf /= cdf[-1]
+                assert row[i] == d.lo + cdf.searchsorted(u, side="right")
+                assert pmf[int(row[i] - d.lo)] > 0
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
