@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -86,13 +87,33 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Simulated prices, one row per asset, with derived simple returns."""
+    """Simulated prices, one row per asset, and the series derived from them once."""
 
-    prices: np.ndarray  # (n_assets, n_days)
+    prices: np.ndarray  # (n_assets, n_days), a private read-only copy: no cached series goes stale
 
-    @property
+    def __post_init__(self):
+        prices = np.array(self.prices)
+        prices.flags.writeable = False
+        object.__setattr__(self, "prices", prices)
+
+    @cached_property
     def returns(self) -> np.ndarray:
-        return self.prices[:, 1:] / self.prices[:, :-1] - 1.0
+        returns = self.prices[:, 1:] / self.prices[:, :-1] - 1.0
+        returns.flags.writeable = False  # every caller is handed this one array
+        return returns
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        """Running sums of prices, squared prices, up-moves and down-moves along
+        days, from a 0 column: column t + 1 sums through day t."""
+        p, moves = self.prices, np.diff(self.prices, axis=1)
+        out = np.zeros((4, p.shape[0], p.shape[1] + 1))
+        np.cumsum(p, axis=1, out=out[0, :, 1:])
+        np.cumsum(p * p, axis=1, out=out[1, :, 1:])
+        np.cumsum(np.maximum(moves, 0.0), axis=1, out=out[2, :, 2:])  # a move lands on its day
+        np.cumsum(np.maximum(-moves, 0.0), axis=1, out=out[3, :, 2:])
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -159,70 +180,57 @@ def strategy_preset(name: str, n_groups: int = 5) -> StrategyKind:
     return StrategyKind(name=name, param_space=ParamSpace(domains), n_groups=n_groups)
 
 
-def _rolling_mean(x: np.ndarray, w: int) -> np.ndarray:
-    """Trailing mean over the last w entries inclusive; nan before coverage."""
-    out = np.full_like(x, np.nan, dtype=float)
-    if w < 1 or x.shape[-1] < w:
-        return out
-    csum = np.cumsum(x, axis=-1)
-    out[..., w - 1] = csum[..., w - 1] / w
-    out[..., w:] = (csum[..., w:] - csum[..., :-w]) / w
-    return out
-
-
-def _rolling_std(x: np.ndarray, w: int) -> np.ndarray:
-    m = _rolling_mean(x, w)
-    m2 = _rolling_mean(x * x, w)
-    var = np.maximum(m2 - m * m, 0.0)
-    return np.sqrt(var)
+def _trailing_mean(sums: np.ndarray, w: int, t0: int) -> np.ndarray:
+    """Mean over the w days through day t, for each day t >= t0 (t0 >= w - 1)."""
+    return (sums[:, t0 + 1 :] - sums[:, t0 + 1 - w : max(sums.shape[1] - w, 0)]) / w
 
 
 @np.errstate(all="ignore")  # a comparison with nan is False, so nan needs no mask
-def _raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray) -> np.ndarray:
-    """Desired position per asset per day, decided from data through that day."""
-    n_assets, n_days = prices.shape
-    pos = np.zeros((n_assets, n_days))
-    groups = np.arange(n_assets) % kind.n_groups
+def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.ndarray:
+    """Desired position per asset per day, decided from data through that day.
+
+    Group g holds rows g, g + n_groups, ...  A signal is computed from the
+    first day its windows cover.  Before it a position is 0.0, but for
+    mean_reversion it is z = 0.0 through clip, mode and sizing: a signed zero.
+    """
+    prices, (csum, csum_sq, csum_up, csum_down) = series.prices, series.sums
+    pos = np.zeros(prices.shape)
 
     for g in range(kind.n_groups):
-        mask = groups == g
-        p = prices[mask]
+        rows = slice(g, None, kind.n_groups)
+        p, s = prices[rows], csum[rows]
         if kind.name == "trend_following":
-            fast = int(params[f"fast_{g}"])
-            slow = int(params[f"slow_{g}"])
-            lo, hi = min(fast, slow), max(fast, slow)
-            if lo == hi:
-                continue
-            sig = np.sign(np.nan_to_num(_rolling_mean(p, lo) - _rolling_mean(p, hi)))
+            lo, hi = sorted((int(params[f"fast_{g}"]), int(params[f"slow_{g}"])))
+            sig = np.sign(np.nan_to_num(_trailing_mean(s, lo, hi - 1) - _trailing_mean(s, hi, hi - 1)))
             if params[f"mode_{g}"] == "long_only":
                 sig = np.maximum(sig, 0.0)
-            pos[mask] = sig * params[f"sizing_{g}"]
+            pos[rows, hi - 1 :] = sig * params[f"sizing_{g}"]
         elif kind.name == "mean_reversion":
             lb = int(params[f"lookback_{g}"])
-            mean = _rolling_mean(p, lb)
-            std = _rolling_std(p, lb)
-            z = np.where(std > 1e-12, (p - mean) / std, 0.0)
+            mean = _trailing_mean(s, lb, lb - 1)
+            var = _trailing_mean(csum_sq[rows], lb, lb - 1) - mean * mean
+            std = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+            z = np.zeros(p.shape)
+            np.divide(p[:, lb - 1 :] - mean, std, out=z[:, lb - 1 :], where=std > 1e-12)
             raw = np.clip(-z / params[f"entry_z_{g}"], -1.0, 1.0)
             if params[f"mode_{g}"] == "long_only":
                 raw = np.maximum(raw, 0.0)
-            pos[mask] = raw * params[f"sizing_{g}"]
+            pos[rows] = raw * params[f"sizing_{g}"]
         else:  # threshold_hybrid
             lb = int(params[f"mom_lb_{g}"])
             rsi_lb = int(params[f"rsi_lb_{g}"])
-            mom = np.full_like(p, np.nan)
-            mom[:, lb:] = p[:, lb:] / p[:, :-lb] - 1.0
-            diff = np.diff(p, axis=1)
-            gains = _rolling_mean(np.maximum(diff, 0.0), rsi_lb)
-            losses = _rolling_mean(np.maximum(-diff, 0.0), rsi_lb)
+            t0 = max(lb, rsi_lb)
+            mom = p[:, t0:] / p[:, t0 - lb : max(p.shape[1] - lb, 0)] - 1.0
+            gains = _trailing_mean(csum_up[rows], rsi_lb, t0)
+            losses = _trailing_mean(csum_down[rows], rsi_lb, t0)
             denom = gains + losses
-            rsi = np.full_like(p, np.nan)  # nan until the RSI window is covered
-            rsi[:, 1:] = np.where(denom <= 1e-12, 50.0, 100.0 * gains / denom)
+            rsi = np.where(denom <= 1e-12, 50.0, 100.0 * gains / denom)
             th = params[f"mom_th_{g}"]
             band = params[f"rsi_band_{g}"]
             long_ok = (mom > th) & (rsi < 100.0 - band)
             short_ok = (mom < -th) & (rsi > band)
             sig = np.where(long_ok, 1.0, np.where(short_ok, -1.0, 0.0))
-            pos[mask] = sig * params[f"sizing_{g}"]
+            pos[rows, t0:] = sig * params[f"sizing_{g}"]
     return pos
 
 
@@ -234,19 +242,25 @@ def _apply_stop_loss(
     A run is a stretch of days with one sign of the raw position; its entry
     price is the price on its first day.  A held position is flat from the
     first day its run loses more than the stop, through the end of the run.
-    All decisions use prices through the current day.
+    All decisions use prices through the current day.  Days are counted by
+    flat index into prices, so that one take finds every entry price.
     """
-    n_assets, n_days = prices.shape
-    stops = np.array([params[f"stop_{g}"] for g in np.arange(n_assets) % kind.n_groups])
-    days = np.arange(n_days)
+    stops = np.resize([params[f"stop_{g}"] for g in range(kind.n_groups)], prices.shape[0])
+    flat = np.arange(prices.size).reshape(prices.shape)
     sign = np.sign(raw_pos)
-    changed = np.diff(sign, axis=1, prepend=0.0) != 0
-    run_start = np.maximum.accumulate(np.where(changed, days, 0), axis=1)
-    entry = np.take_along_axis(prices, run_start, axis=1)
+    changed = np.empty(sign.shape, dtype=bool)
+    np.not_equal(sign[:, :1], 0.0, out=changed[:, :1])
+    np.not_equal(sign[:, 1:], sign[:, :-1], out=changed[:, 1:])
+    run_start = np.maximum.accumulate(np.where(changed, flat, flat[:, :1]), axis=1)
+    entry = prices.take(run_start)
     with np.errstate(all="ignore"):  # entry <= 0 never triggers
-        loss = -sign * (prices / entry - 1.0)
-    trigger = (sign != 0) & (entry > 0) & (loss > stops[:, None])
-    last_trigger = np.maximum.accumulate(np.where(trigger, days, -1), axis=1)
+        gain = np.divide(prices, entry)
+        gain -= 1.0
+        gain *= sign  # the run loses more than the stop where its gain is below -stop
+    trigger = np.less(gain, -stops[:, None], out=changed)
+    trigger &= entry > 0
+    trigger &= sign != 0
+    last_trigger = np.maximum.accumulate(np.where(trigger, flat, -1), axis=1)
     return np.where(last_trigger >= run_start, 0.0, raw_pos)
 
 
@@ -254,9 +268,8 @@ def run_strategy(kind: StrategyKind, params: Config, prices: PriceSeries) -> np.
     """Daily portfolio returns net of transaction costs; no lookahead."""
     require_valid(kind.param_space, params)
     pdict = params.as_dict(kind.param_space)
-    mat = prices.prices
-    raw = _raw_positions(kind, pdict, mat)
-    pos = _apply_stop_loss(kind, pdict, mat, raw)
+    raw = _raw_positions(kind, pdict, prices)
+    pos = _apply_stop_loss(kind, pdict, prices.prices, raw)
 
     asset_ret = prices.returns  # (n_assets, n_days-1), day t uses prices t-1, t
     held = pos[:, :-1]  # position decided on day t-1 earns day t's return

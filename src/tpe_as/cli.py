@@ -44,6 +44,8 @@ def main(argv=None) -> int:
         return 0
     except (BlackboxError, HarnessError, OSError) as exc:
         parser.error(str(exc))  # one line and exit status 2, not a traceback
+    except UnicodeDecodeError as exc:  # its message does not name the file
+        parser.error(f"{args.config if args.command == 'run' else args.summary}: {exc}")
 
 
 if __name__ == "__main__":

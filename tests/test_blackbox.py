@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import warnings
@@ -19,8 +20,6 @@ from tpe_as.blackbox import (
     StrategyKind,
     _apply_stop_loss,
     _raw_positions,
-    _rolling_mean,
-    _rolling_std,
     evaluate,
     generate_scenario,
     run_strategy,
@@ -28,6 +27,8 @@ from tpe_as.blackbox import (
     sharpe_annualized,
     strategy_preset,
 )
+from tpe_as.baselines import run_baseline
+from tpe_as.optimizer import OptimizerConfig
 from tpe_as.space import Config, ParamDomain, ParamSpace, sample_uniform
 
 
@@ -87,6 +88,19 @@ class TestGenerateScenario:
     def test_bad_horizon_rejected(self):
         with pytest.raises(BlackboxError):
             ScenarioSpec("high_volatility", 5, 500, 0, ((0.1, 0.2),))
+
+
+class TestPriceSeries:
+    def test_prices_and_cached_series_are_read_only(self):
+        prices = market("high_volatility").copy()
+        series = PriceSeries(prices)
+        prices[0, :] = 1.0  # before the returns are first computed
+        assert_same_bits(series.returns, PriceSeries(market("high_volatility")).returns)
+        with pytest.raises(ValueError):
+            series.prices[0, 0] = 1.0
+        for cached in (series.returns, series.sums):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
 
 
 class TestRunStrategy:
@@ -327,7 +341,26 @@ class TestScenarioCache:
 
 
 # The per-day stop-loss loop and the nan-masked positions that the
-# whole-array code replaced, kept verbatim as its oracle.
+# whole-array code replaced, kept verbatim (with the rolling windows they
+# read) as its oracle.
+def _rolling_mean(x: np.ndarray, w: int) -> np.ndarray:
+    """Trailing mean over the last w entries inclusive; nan before coverage."""
+    out = np.full_like(x, np.nan, dtype=float)
+    if w < 1 or x.shape[-1] < w:
+        return out
+    csum = np.cumsum(x, axis=-1)
+    out[..., w - 1] = csum[..., w - 1] / w
+    out[..., w:] = (csum[..., w:] - csum[..., :-w]) / w
+    return out
+
+
+def _rolling_std(x: np.ndarray, w: int) -> np.ndarray:
+    m = _rolling_mean(x, w)
+    m2 = _rolling_mean(x * x, w)
+    var = np.maximum(m2 - m * m, 0.0)
+    return np.sqrt(var)
+
+
 def reference_raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray) -> np.ndarray:
     """Desired position per asset per day, decided from data through that day."""
     n_assets, n_days = prices.shape
@@ -433,10 +466,18 @@ def warning_free(fn, *args):
         return fn(*args)
 
 
-def reference_run_strategy(kind, params, series):
+@contextlib.contextmanager
+def reference_rules():
+    """The black-box with its position and stop-loss rules swapped for the oracles."""
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-        mp.setattr(bb, "_raw_positions", reference_raw_positions)
+        # the oracle reads the price array where the rule reads the PriceSeries
+        mp.setattr(bb, "_raw_positions", lambda kind, params, series: reference_raw_positions(kind, params, series.prices))
         mp.setattr(bb, "_apply_stop_loss", reference_stop_loss)
+        yield
+
+
+def reference_run_strategy(kind, params, series):
+    with reference_rules():
         return run_strategy(kind, params, series)
 
 
@@ -446,10 +487,10 @@ def assert_matches_reference(kind, params, prices):
     with np.errstate(all="ignore"):
         old_raw = reference_raw_positions(kind, pdict, prices)
         old_pos = reference_stop_loss(kind, pdict, prices, old_raw)
-    raw = warning_free(_raw_positions, kind, pdict, prices)
+    series = PriceSeries(prices)
+    raw = warning_free(_raw_positions, kind, pdict, series)
     assert_same_bits(raw, old_raw)
     assert_same_bits(warning_free(_apply_stop_loss, kind, pdict, prices, raw), old_pos)
-    series = PriceSeries(prices)
     with np.errstate(all="ignore"):  # PriceSeries.returns divides by zero prices
         returns = run_strategy(kind, params, series)
     assert_same_bits(returns, reference_run_strategy(kind, params, series))
@@ -497,3 +538,31 @@ class TestWholeArrayRulesMatchReference:
         with np.errstate(all="ignore"):
             expect = reference_stop_loss(kind, params, prices, raw)
         assert_same_bits(warning_free(_apply_stop_loss, kind, params, prices, raw), expect)
+
+
+class TestSearchOnAnUsedMarket:
+    @pytest.mark.parametrize(
+        "name, scenario",
+        [
+            ("threshold_hybrid", "range_bound_long"),
+            ("trend_following", "stable_bull"),
+            ("mean_reversion", "range_bound_short"),
+        ],
+    )
+    def test_random_search_matches_reference(self, name, scenario):
+        # every evaluation after a market's first reads the series cached on
+        # its PriceSeries; the second market shows they are its own
+        kind = strategy_preset(name)
+        for seed in (1, 0):
+            spec = scenario_preset(scenario, seed=seed)
+
+            def search():
+                opt = OptimizerConfig(budget=80, seed=seed)
+                history = run_baseline("random_search", opt, lambda cfg: evaluate(kind, spec, cfg), kind.param_space)
+                return np.array([trial.f_value for trial in history.trials])
+
+            fs = search()
+            assert list(bb._scenario_cache) == [spec]
+            with reference_rules():
+                expect = search()
+            assert_same_bits(fs, expect)

@@ -37,6 +37,9 @@ BASE_DOC = {
     "seeds": [0, 1],
 }
 
+# bytes that are not UTF-8: 0xff can start no UTF-8 sequence
+UNDECODABLE = bytes(np.random.default_rng(0).integers(0, 256, 64, dtype=np.uint8)) + b"\xff"
+
 MALFORMED_CONFIGS = {
     "not-json": "{",
     "not-an-object": "[]",
@@ -112,6 +115,9 @@ class TestConfigParsing:
             (["run", "input"], None),
             (["run", "--parallelism", "0", "input"], json.dumps(BASE_DOC)),
             (["show-space", "momentum_farm"], None),
+            (["run", "input"], UNDECODABLE),
+            (["report", "input"], UNDECODABLE),
+            (["run", "input"], b"\xff\xfe" + json.dumps(BASE_DOC).encode()),
         ],
         ids=[
             "run-malformed",
@@ -121,11 +127,16 @@ class TestConfigParsing:
             "run-missing-file",
             "run-parallelism-0",
             "show-space-unknown",
+            "run-undecodable",
+            "report-undecodable",
+            "run-undecodable-prefix",
         ],
     )
     def test_cli_reports_bad_input_in_one_line(self, tmp_path, monkeypatch, capsys, argv, text):
         monkeypatch.chdir(tmp_path)  # "input" is read, and a config without output_dir writes, here
-        if text is not None:
+        if isinstance(text, bytes):
+            (tmp_path / "input").write_bytes(text)
+        elif text is not None:
             (tmp_path / "input").write_text(text)
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
@@ -134,6 +145,8 @@ class TestConfigParsing:
         assert err.splitlines()[-1].startswith("tpe-as: error: ")
         assert sum(line.startswith("tpe-as: error: ") for line in err.splitlines()) == 1
         assert "Traceback" not in err
+        if isinstance(text, bytes):  # a decode error does not name the file by itself
+            assert err.splitlines()[-1].startswith("tpe-as: error: input: ")
 
 
 class TestTrialLogs:
