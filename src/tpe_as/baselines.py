@@ -9,12 +9,12 @@ from .optimizer import OptimizerConfig, run
 from .space import Config, ParamSpace, sample_uniform, uniform_density
 from .surrogate import History
 
-BASELINE_KINDS = ("random_search", "tpe_conventional")
+BASELINE_KINDS = ("tpe_conventional", "random_search")
 
 
-def propose_uniform(history, space, k, n_candidates, rng):
-    """A proposer that ignores the history: one uniform draw."""
-    return sample_uniform(space, rng), uniform_density(space)
+def propose_uniform(history, k, n_candidates, rng):
+    """A proposer that ignores the history but its space: one uniform draw."""
+    return sample_uniform(history.space, rng), uniform_density(history.space)
 
 
 def run_baseline(

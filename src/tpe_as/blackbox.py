@@ -85,35 +85,35 @@ class ScenarioSpec:
             raise BlackboxError("need at least one regime")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # every reader is handed this one array
+    return a
+
+
 @dataclass(frozen=True)
 class PriceSeries:
-    """Simulated prices, one row per asset, and the series derived from them once."""
+    """Simulated prices, one row per asset, and the read-only series derived from
+    them, each built on a strategy's first read: returns and running sums."""
 
     prices: np.ndarray  # (n_assets, n_days), a private read-only copy: no cached series goes stale
 
     def __post_init__(self):
-        prices = np.array(self.prices)
-        prices.flags.writeable = False
-        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "prices", _read_only(np.array(self.prices)))
 
-    @cached_property
-    def returns(self) -> np.ndarray:
-        returns = self.prices[:, 1:] / self.prices[:, :-1] - 1.0
-        returns.flags.writeable = False  # every caller is handed this one array
-        return returns
+    def _running_sum(self, row: int, daily: np.ndarray) -> np.ndarray:
+        """Row `row` of the zeroed sum block, filled with running sums of daily values
+        along days, right-aligned (column t + 1 sums through day t), read-only."""
+        out = self._block[row]
+        np.cumsum(daily, axis=1, out=out[:, out.shape[1] - daily.shape[1] :])
+        return _read_only(out)
 
-    @cached_property
-    def sums(self) -> np.ndarray:
-        """Running sums of prices, squared prices, up-moves and down-moves along
-        days, from a 0 column: column t + 1 sums through day t."""
-        p, moves = self.prices, np.diff(self.prices, axis=1)
-        out = np.zeros((4, p.shape[0], p.shape[1] + 1))
-        np.cumsum(p, axis=1, out=out[0, :, 1:])
-        np.cumsum(p * p, axis=1, out=out[1, :, 1:])
-        np.cumsum(np.maximum(moves, 0.0), axis=1, out=out[2, :, 2:])  # a move lands on its day
-        np.cumsum(np.maximum(-moves, 0.0), axis=1, out=out[3, :, 2:])
-        out.flags.writeable = False
-        return out
+    returns = cached_property(lambda self: _read_only(self.prices[:, 1:] / self.prices[:, :-1] - 1.0))
+    # one block for the sums: freeing it lifts glibc's malloc thresholds, so per-call temporaries reuse heap pages
+    _block = cached_property(lambda self: np.zeros((4, self.prices.shape[0], self.prices.shape[1] + 1)))
+    price_sums = cached_property(lambda self: self._running_sum(0, self.prices))
+    square_sums = cached_property(lambda self: self._running_sum(1, self.prices * self.prices))
+    up_sums = cached_property(lambda self: self._running_sum(2, np.maximum(np.diff(self.prices, axis=1), 0.0)))
+    down_sums = cached_property(lambda self: self._running_sum(3, np.maximum(-np.diff(self.prices, axis=1), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,13 @@ def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.
     first day its windows cover.  Before it a position is 0.0, but for
     mean_reversion it is z = 0.0 through clip, mode and sizing: a signed zero.
     """
-    prices, (csum, csum_sq, csum_up, csum_down) = series.prices, series.sums
-    pos = np.zeros(prices.shape)
+    pos = np.zeros(series.prices.shape)
 
     for g in range(kind.n_groups):
         rows = slice(g, None, kind.n_groups)
-        p, s = prices[rows], csum[rows]
+        p = series.prices[rows]
         if kind.name == "trend_following":
+            s = series.price_sums[rows]
             lo, hi = sorted((int(params[f"fast_{g}"]), int(params[f"slow_{g}"])))
             sig = np.sign(np.nan_to_num(_trailing_mean(s, lo, hi - 1) - _trailing_mean(s, hi, hi - 1)))
             if params[f"mode_{g}"] == "long_only":
@@ -207,8 +207,8 @@ def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.
             pos[rows, hi - 1 :] = sig * params[f"sizing_{g}"]
         elif kind.name == "mean_reversion":
             lb = int(params[f"lookback_{g}"])
-            mean = _trailing_mean(s, lb, lb - 1)
-            var = _trailing_mean(csum_sq[rows], lb, lb - 1) - mean * mean
+            mean = _trailing_mean(series.price_sums[rows], lb, lb - 1)
+            var = _trailing_mean(series.square_sums[rows], lb, lb - 1) - mean * mean
             std = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
             z = np.zeros(p.shape)
             np.divide(p[:, lb - 1 :] - mean, std, out=z[:, lb - 1 :], where=std > 1e-12)
@@ -221,8 +221,8 @@ def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.
             rsi_lb = int(params[f"rsi_lb_{g}"])
             t0 = max(lb, rsi_lb)
             mom = p[:, t0:] / p[:, t0 - lb : max(p.shape[1] - lb, 0)] - 1.0
-            gains = _trailing_mean(csum_up[rows], rsi_lb, t0)
-            losses = _trailing_mean(csum_down[rows], rsi_lb, t0)
+            gains = _trailing_mean(series.up_sums[rows], rsi_lb, t0)
+            losses = _trailing_mean(series.down_sums[rows], rsi_lb, t0)
             denom = gains + losses
             rsi = np.where(denom <= 1e-12, 50.0, 100.0 * gains / denom)
             th = params[f"mom_th_{g}"]

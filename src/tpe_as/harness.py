@@ -13,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import run_baseline
+from .baselines import BASELINE_KINDS, run_baseline
 from .blackbox import evaluate, scenario_preset, strategy_preset
 from .optimizer import OptimizerConfig, run, summarize
 from .space import Config, ParamSpace
 from .surrogate import History, TrialRecord
 
-METHODS = ("tpe_as", "tpe_conventional", "random_search")
+METHODS = ("tpe_as", *BASELINE_KINDS)  # in the order a grid runs them
 SUMMARY_HEADER = [
     "method",
     "strategy",
@@ -124,11 +124,10 @@ def run_name(config: ExperimentConfig, seed: int) -> str:
 
 
 def _run_cell(config: ExperimentConfig, seed: int):
-    """One grid cell: (history, space, mean_step_time), or the exception's repr."""
+    """One grid cell: (history, mean_step_time), or the exception's repr."""
     try:
         kind = strategy_preset(config.strategy)
         spec = scenario_preset(config.scenario, seed=seed)
-        space = kind.param_space
         blackbox = lambda cfg: evaluate(kind, spec, cfg)
         opt = replace(
             config.optimizer,
@@ -137,11 +136,11 @@ def _run_cell(config: ExperimentConfig, seed: int):
         )
         start = time.perf_counter()
         if config.method == "tpe_as":
-            history = run(opt, blackbox, space)
+            history = run(opt, blackbox, kind.param_space)
         else:
-            history = run_baseline(config.method, opt, blackbox, space)
+            history = run_baseline(config.method, opt, blackbox, kind.param_space)
         elapsed = time.perf_counter() - start
-        return history, space, elapsed / opt.budget
+        return history, elapsed / opt.budget
     except Exception as exc:  # keep the grid going
         return repr(exc)
 
@@ -185,10 +184,10 @@ def run_experiment(
         if isinstance(result, str):
             outcome = [f"failed: {result}", "", "", ""]
         else:
-            history, space, step_time = result
+            history, step_time = result
             summary = summarize(history)
             name = run_name(config, seed)
-            (out / f"trials_{name}.jsonl").write_text(history_to_jsonl(history, space))
+            (out / f"trials_{name}.jsonl").write_text(history_to_jsonl(history, history.space))
             with (out / f"traj_{name}.csv").open("w", newline="") as tf:
                 tw = csv.writer(tf)
                 tw.writerow(["step", "f", "j_score"])

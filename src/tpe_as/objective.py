@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .space import ParamSpace, encode
+from .space import encode
 from .surrogate import History, KdeModel, density, fit_kde, rank_top
 
 
@@ -57,11 +57,11 @@ def lagrangian_score(f_value: float, variance: float, lambda_t: float) -> float:
     return f_value - lambda_t * variance
 
 
-def build_g_model(history: History, k: float, space: ParamSpace) -> KdeModel:
+def build_g_model(history: History, k: float) -> KdeModel:
     """KDE over the configs of the top-k trials ranked by raw f value.
 
     Approximates the distribution of high-quality configurations; refreshed
     every optimizer step.
     """
     ranked, n_top = rank_top(history.f_values, k)
-    return fit_kde(history.rows[ranked[:n_top]], space)  # rank order fixes component order
+    return fit_kde(history.rows[ranked[:n_top]], history.space)  # rank order fixes component order

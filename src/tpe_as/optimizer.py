@@ -42,8 +42,10 @@ class OptimizerConfig:
             raise OptimizerError("k must lie in (0,1)")
         if not top_count(self.n_init, self.k) < self.n_init < self.budget:  # a bad trial at n_init
             raise OptimizerError("need max(2, ceil(k*n_init)) < n_init < budget")
-        if not 0 <= self.epsilon < np.inf or self.window < 2 or self.n_candidates < 1:
-            raise OptimizerError("bad epsilon/window/n_candidates")
+        if isinstance(self.epsilon, bool) or not 0 <= self.epsilon < np.inf:  # a bool is not a number
+            raise OptimizerError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
+        if self.window < 2 or self.n_candidates < 1:
+            raise OptimizerError("bad window/n_candidates")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ def run(
 ) -> History:
     """Warm-up with uniform draws, then `propose` (TPE by default); score each trial.
 
-    `propose` has the signature of `propose_next`:
-    (history, space, k, n_candidates, rng) -> (config, proposal density).
+    `propose` has the signature of `propose_next`, (history, k, n_candidates,
+    rng) -> (config, proposal density), and reads the space off the History.
     Conventional mode keeps lambda at 0 (objective score equals raw f);
     adaptive mode follows the cosine schedule and penalizes the clip-weighted
     windowed variance.  A blackbox that raises, or returns NaN, +-inf or a
@@ -80,7 +82,7 @@ def run(
             config = sample_uniform(space, rng)
             q = u_density
         else:
-            config, q = propose(history, space, opt.k, opt.n_candidates, rng)
+            config, q = propose(history, opt.k, opt.n_candidates, rng)
         require_valid(space, config)  # SpaceError: a bad proposal is no black-box failure
 
         try:
@@ -95,7 +97,7 @@ def run(
         lam = schedule(t, opt.budget) if opt.mode == "adaptive" else 0.0
         variance = 0.0
         if lam > 0 and len(history) >= 2:
-            g_model = build_g_model(history, opt.k, space)
+            g_model = build_g_model(history, opt.k)
             variance = windowed_variance(
                 history, g_model, (config, f, q), opt.epsilon, opt.window
             )
@@ -119,6 +121,6 @@ def summarize(history: History) -> RunSummary:
     """Whole-run metrics: max f, population variance of f, best config."""
     if len(history) == 0:
         raise OptimizerError("cannot summarize an empty history")
-    fs = np.array([t.f_value for t in history.trials])
+    fs = history.f_values
     best = history.trials[int(np.argmax(fs))]
     return RunSummary(max_f=float(fs.max()), variance_f=float(np.var(fs)), best_config=best.config)

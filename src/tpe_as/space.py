@@ -49,15 +49,10 @@ class ParamDomain:
         return self.kind in ("continuous", "integer")
 
     def contains(self, value: Value) -> bool:
-        if self.kind == "continuous":
-            return isinstance(value, (int, float)) and self.lo <= value <= self.hi
-        if self.kind == "integer":
-            return (
-                isinstance(value, (int, np.integer))
-                and not isinstance(value, bool)
-                and self.lo <= value <= self.hi
-            )
-        return value in self.choices
+        if self.kind == "categorical":
+            return value in self.choices
+        numbers = (int, float) if self.kind == "continuous" else (int, np.integer)
+        return isinstance(value, numbers) and not isinstance(value, bool) and self.lo <= value <= self.hi
 
     def width(self) -> float:
         return self.hi - self.lo

@@ -217,10 +217,8 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
     return out
 
 
-def propose_next(
-    history: History, space: ParamSpace, k: float, n_candidates: int, rng: np.random.Generator
-):
-    """Propose the next config by maximizing the good/bad density ratio.
+def propose_next(history: History, k: float, n_candidates: int, rng: np.random.Generator):
+    """Propose the next config in history's space by maximizing the good/bad density ratio.
 
     Returns (config, proposal_density) where the density is taken under the
     good-group model the candidates were drawn from; the first of tied
@@ -229,9 +227,9 @@ def propose_next(
     if n_candidates < 1:
         raise SurrogateError("need at least one candidate")
     good, bad = split_history(history, k)
-    good_model = fit_kde(history.rows[good], space)
-    bad_model = fit_kde(history.rows[bad], space)
+    good_model = fit_kde(history.rows[good], history.space)
+    bad_model = fit_kde(history.rows[bad], history.space)
     candidates = sample_from_kde(good_model, rng, n_candidates)
     g = density(good_model, candidates)
     best = int(np.argmax(g / density(bad_model, candidates)))
-    return decode(space, candidates[best]), float(g[best])
+    return decode(history.space, candidates[best]), float(g[best])

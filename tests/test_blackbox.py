@@ -32,6 +32,9 @@ from tpe_as.optimizer import OptimizerConfig
 from tpe_as.space import Config, ParamDomain, ParamSpace, sample_uniform
 
 
+RUNNING_SUMS = ("price_sums", "square_sums", "up_sums", "down_sums")
+
+
 def flat_params(kind, **overrides):
     values = []
     for d in kind.param_space.domains:
@@ -98,9 +101,24 @@ class TestPriceSeries:
         assert_same_bits(series.returns, PriceSeries(market("high_volatility")).returns)
         with pytest.raises(ValueError):
             series.prices[0, 0] = 1.0
-        for cached in (series.returns, series.sums):
+        for cached in (series.returns, *(getattr(series, name) for name in RUNNING_SUMS)):
             with pytest.raises(ValueError):
                 cached[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "name, built",
+        [
+            ("trend_following", ["price_sums"]),
+            ("mean_reversion", ["price_sums", "square_sums"]),
+            ("threshold_hybrid", ["up_sums", "down_sums"]),
+        ],
+    )
+    def test_evaluate_builds_only_the_sums_its_strategy_reads(self, monkeypatch, name, built):
+        monkeypatch.setattr(bb, "_scenario_cache", {})  # a market no other strategy has read
+        kind = strategy_preset(name)
+        evaluate(kind, scenario_preset("high_volatility"), sized_params(kind))
+        (series,) = bb._scenario_cache.values()
+        assert [s for s in RUNNING_SUMS if s in vars(series)] == built
 
 
 class TestRunStrategy:

@@ -153,7 +153,7 @@ class TestBuildGModel:
             unit_space,
             [(sample_uniform(unit_space, rng), float(rng.normal()), 1.0) for _ in range(2)],
         )
-        model = build_g_model(history, 0.15, unit_space)
+        model = build_g_model(history, 0.15)
         assert model.n_components == 2
 
     def test_ranks_by_f_not_j(self, unit_space):
@@ -165,7 +165,7 @@ class TestBuildGModel:
                                    proposal_density=1.0, lambda_used=0.0))
         history.append(TrialRecord(3, Config((0.2,)), f_value=0.5, j_score=0.5,
                                    proposal_density=1.0, lambda_used=0.0))
-        model = build_g_model(history, 0.5, unit_space)
+        model = build_g_model(history, 0.5)
         assert model.n_components == 2
         centers = sorted(model.centers[0])
         assert centers == pytest.approx([0.1, 0.9])
@@ -178,7 +178,7 @@ class TestBuildGModel:
             x = float(rng.uniform())
             entries.append((Config((x,)), -((x - 0.5) ** 2), 1.0))
         history = _history_of(unit_space, entries)
-        model = build_g_model(history, 0.15, unit_space)
+        model = build_g_model(history, 0.15)
         ranked = sorted(history.trials, key=lambda t: -t.f_value)
         top = np.mean(density(model, encoded(unit_space, [t.config for t in ranked[:10]])))
         bottom = np.mean(density(model, encoded(unit_space, [t.config for t in ranked[-10:]])))

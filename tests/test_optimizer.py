@@ -84,7 +84,7 @@ class TestRun:
         # hold a config that history_from_jsonl rejects; the run refuses it
         scored = []
 
-        def stray(history, space, k, n_candidates, rng):
+        def stray(history, k, n_candidates, rng):
             return Config((-999.0, 0.5)), 1.0
 
         def lenient(cfg):
@@ -150,6 +150,29 @@ class TestRun:
             assert abs(best.values[0] - 0.3) <= 0.15
             assert abs(best.values[1] - 0.7) <= 0.15
 
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_conventional_search_ignores_increasing_maps_of_f(self, seed):
+        # with lambda at 0 the search sees f only through its ranks, so a
+        # strictly increasing map of f proposes the same configs with the
+        # same densities; adaptive mode's penalty weighs f itself, so it is
+        # not asserted there
+        space = ParamSpace((
+            ParamDomain("x", "continuous", 0.0, 1.0),
+            ParamDomain("n", "integer", 1, 10),
+            ParamDomain("c", "categorical", choices=("A", "B", "C")),
+        ))
+
+        def f(cfg):
+            x, n, c = cfg.values
+            return -((x - 0.3) ** 2) - ((n - 4) / 10) ** 2 + {"A": 0.0, "B": 0.1, "C": -0.1}[c]
+
+        opt = OptimizerConfig(budget=60, mode="conventional", n_init=10, n_candidates=16, seed=seed)
+        expect = [(t.config, t.proposal_density) for t in run(opt, f, space).trials]
+        for increasing in (lambda v: 2 * v, lambda v: v + 1, math.exp):
+            mapped = run(opt, lambda cfg: increasing(f(cfg)), space)
+            assert [(t.config, t.proposal_density) for t in mapped.trials] == expect
+
     def test_mode_reduction_with_zero_schedule(self, space_2d):
         opt_a = OptimizerConfig(budget=50, mode="adaptive", n_init=10, seed=6)
         opt_c = OptimizerConfig(budget=50, mode="conventional", n_init=10, seed=6)
@@ -189,6 +212,12 @@ class TestRun:
     def test_rejects_non_int_size(self, name, value):
         with pytest.raises(OptimizerError, match=f"^{name} must be an int"):
             OptimizerConfig(**{"budget": 30, name: value})
+
+    @pytest.mark.parametrize("value", [True, False, -0.1, math.inf, math.nan])
+    def test_rejects_bad_epsilon(self, value):
+        # a bool is not a number: "epsilon": true would run with epsilon = 1
+        with pytest.raises(OptimizerError, match="^epsilon must be a finite number"):
+            OptimizerConfig(budget=30, epsilon=value)
 
 
 class TestSummarize:

@@ -74,7 +74,7 @@ class TestHistory:
             )
         assert len(history) == len(steps) - 1
 
-    @pytest.mark.parametrize("value", [2.0, -0.5, math.nan, "0.5"])
+    @pytest.mark.parametrize("value", [2.0, -0.5, math.nan, "0.5", True])
     def test_append_rejects_config_outside_space(self, value):
         # the boundary where a config enters the surrogate's arrays; fit_kde
         # and density trust the rows they are given
@@ -307,8 +307,8 @@ class TestProposeNext:
 
     def test_deterministic_given_seed(self, unit_space, rng):
         history = self.make_clustered_history(unit_space, rng)
-        a = propose_next(history, unit_space, 0.15, 16, np.random.default_rng(3))
-        b = propose_next(history, unit_space, 0.15, 16, np.random.default_rng(3))
+        a = propose_next(history, 0.15, 16, np.random.default_rng(3))
+        b = propose_next(history, 0.15, 16, np.random.default_rng(3))
         assert a == b
 
     def test_proposal_validates(self, mixed_space, rng):
@@ -321,7 +321,7 @@ class TestProposeNext:
                             lambda_used=0.0)
             )
         for s in range(20):
-            cfg, q = propose_next(history, mixed_space, 0.15, 8, np.random.default_rng(s))
+            cfg, q = propose_next(history, 0.15, 8, np.random.default_rng(s))
             require_valid(mixed_space, cfg)
             assert q > 0
 
@@ -330,7 +330,7 @@ class TestProposeNext:
         good, _ = split_history(history, 0.15)
         model = fit_kde(history.rows[good], unit_space)
         (draw,) = sample_from_kde(model, np.random.default_rng(9), 1)
-        cfg, _ = propose_next(history, unit_space, 0.15, 1, np.random.default_rng(9))
+        cfg, _ = propose_next(history, 0.15, 1, np.random.default_rng(9))
         assert cfg == decode(unit_space, draw)
 
     def test_best_ratio_of_reference_draws(self, mixed_space, rng):
@@ -348,7 +348,7 @@ class TestProposeNext:
         candidates = [reference_sample_from_kde(good_model, draws) for _ in range(32)]
         rows = encoded(mixed_space, candidates)
         ratios = density(good_model, rows) / density(bad_model, rows)
-        cfg, q = propose_next(history, mixed_space, 0.15, 32, np.random.default_rng(4))
+        cfg, q = propose_next(history, 0.15, 32, np.random.default_rng(4))
         assert repr(cfg) == repr(candidates[int(np.argmax(ratios))])
         assert np.array_equal([q], density(good_model, encoded(mixed_space, [cfg])))
 
@@ -356,7 +356,7 @@ class TestProposeNext:
         history = self.make_clustered_history(unit_space, rng, n=80)
         hits = 0
         for s in range(100):
-            cfg, _ = propose_next(history, unit_space, 0.15, 32, np.random.default_rng(s))
+            cfg, _ = propose_next(history, 0.15, 32, np.random.default_rng(s))
             if 0.3 <= cfg.values[0] <= 0.7:
                 hits += 1
         assert hits >= 90
@@ -602,13 +602,13 @@ def config_sample_from_kde(model: ConfigKdeModel, rng: np.random.Generator, n: i
     return draws
 
 
-def config_propose_next(history, space, k, n_candidates, rng):
+def config_propose_next(history, k, n_candidates, rng):
     """Propose the next config by maximizing the good/bad density ratio."""
     if n_candidates < 1:
         raise SurrogateError("need at least one candidate")
     good, bad = config_split_history(history, k)
-    good_model = config_fit_kde([t.config for t in good], space)
-    bad_model = config_fit_kde([t.config for t in bad], space)
+    good_model = config_fit_kde([t.config for t in good], history.space)
+    bad_model = config_fit_kde([t.config for t in bad], history.space)
     candidates = config_sample_from_kde(good_model, rng, n_candidates)
     g = config_density(good_model, candidates)
     best = int(np.argmax(g / config_density(bad_model, candidates)))
@@ -626,10 +626,10 @@ def config_windowed_variance(history, g_model, current, epsilon, window):
     return float(np.var(weighted))
 
 
-def config_build_g_model(history, k, space):
+def config_build_g_model(history, k):
     """KDE over the configs of the top-k trials ranked by raw f value."""
     ranked, n_top = config_rank_top(history, k, lambda t: t.f_value)
-    return config_fit_kde([t.config for t in ranked[:n_top]], space)  # rank order fixes component order
+    return config_fit_kde([t.config for t in ranked[:n_top]], history.space)  # rank order fixes component order
 
 
 def space_and_members(seed, strategy):
