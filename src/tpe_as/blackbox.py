@@ -15,7 +15,7 @@ TRANSACTION_COST = 0.0005  # 5 bp per unit of position change
 DEGENERATE_VOL = 1e-12
 N_ASSETS = 20  # in every scenario preset
 
-# kind -> the (n_days, regimes, switch_rate, mean_rev) of its ScenarioSpec
+# kind -> the (n_days, regimes, switch_rate, mean_rev) that generate_scenario reads
 SCENARIOS = {
     # sharp bull / crash / churn regimes: a crisis-like market where
     # fragile configurations shine briefly and break on the next switch
@@ -58,31 +58,14 @@ class BlackboxError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Parameters of one synthetic market: regime set, horizon, seed.
-
-    regimes is a tuple of (annualized drift, annualized vol) pairs; switches
-    arrive as a Poisson process with switch_rate expected switches per year.
-    mean_rev pulls log prices back toward their start (range-bound markets).
-    """
+    """One synthetic market: a kind of SCENARIOS and the seed of its paths."""
 
     kind: str
-    n_assets: int
-    n_days: int
-    seed: int
-    regimes: tuple
-    switch_rate: float = 0.0
-    mean_rev: float = 0.0
+    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SCENARIOS:
             raise BlackboxError(f"unknown scenario kind {self.kind!r}")
-        if self.n_assets < 1:
-            raise BlackboxError("need at least one asset")
-        nominal = SCENARIOS[self.kind][0]
-        if not 0.9 * nominal <= self.n_days <= 1.1 * nominal:
-            raise BlackboxError(f"{self.kind} horizon must be within 10% of {nominal} days")
-        if not self.regimes:
-            raise BlackboxError("need at least one regime")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -127,42 +110,40 @@ class StrategyKind:
 
 def scenario_preset(kind: str, seed: int = 0) -> ScenarioSpec:
     """Build the canonical scenario for one of the four market settings."""
-    if kind not in SCENARIOS:
-        raise BlackboxError(f"unknown scenario kind {kind!r}")
-    n_days, regimes, switch_rate, mean_rev = SCENARIOS[kind]
-    return ScenarioSpec(kind, N_ASSETS, n_days, seed, regimes, switch_rate, mean_rev)
+    return ScenarioSpec(kind, seed)
 
 
 def generate_scenario(spec: ScenarioSpec) -> PriceSeries:
-    """Regime-switching GBM paths with Poisson regime switches."""
+    """Regime-switching GBM paths of N_ASSETS assets with Poisson regime switches.
+
+    SCENARIOS gives the kind's horizon, its (annualized drift, annualized vol)
+    regimes, the expected switches per year and the mean reversion, which
+    pulls log prices back toward their start (range-bound markets).  Every
+    preset has at least two regimes and a positive switch rate; a switch
+    moves to one of the other regimes.
+    """
+    n_days, regimes, switch_rate, mean_rev = SCENARIOS[spec.kind]
     rng = np.random.default_rng(spec.seed)
     dt = 1.0 / TRADING_DAYS
 
     # market-wide regime timeline
-    regime = np.empty(spec.n_days, dtype=int)
-    current = int(rng.integers(len(spec.regimes)))
+    regime = np.empty(n_days, dtype=int)
+    current = int(rng.integers(len(regimes)))
     t = 0
-    while t < spec.n_days:
-        if spec.switch_rate > 0 and len(spec.regimes) > 1:
-            gap = rng.exponential(1.0 / (spec.switch_rate * dt))
-            run = max(1, int(gap))
-        else:
-            run = spec.n_days
-        end = min(t + run, spec.n_days)
+    while t < n_days:
+        gap = rng.exponential(1.0 / (switch_rate * dt))
+        end = min(t + max(1, int(gap)), n_days)
         regime[t:end] = current
         t = end
-        if len(spec.regimes) > 1:
-            step = 1 + int(rng.integers(len(spec.regimes) - 1))
-            current = (current + step) % len(spec.regimes)
+        step = 1 + int(rng.integers(len(regimes) - 1))
+        current = (current + step) % len(regimes)
+    drifts, vols = np.array(regimes)[regime].T
 
-    drifts = np.array([spec.regimes[r][0] for r in regime])
-    vols = np.array([spec.regimes[r][1] for r in regime])
-
-    log_p = np.zeros((spec.n_assets, spec.n_days))
-    shocks = rng.standard_normal((spec.n_assets, spec.n_days - 1))
-    for t in range(1, spec.n_days):
+    log_p = np.zeros((N_ASSETS, n_days))
+    shocks = rng.standard_normal((N_ASSETS, n_days - 1))
+    for t in range(1, n_days):
         mu, sig = drifts[t], vols[t]
-        pull = -spec.mean_rev * log_p[:, t - 1] * dt
+        pull = -mean_rev * log_p[:, t - 1] * dt
         log_p[:, t] = (
             log_p[:, t - 1]
             + (mu - 0.5 * sig * sig) * dt

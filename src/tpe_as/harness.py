@@ -69,8 +69,8 @@ class ExperimentConfig:
                 output_dir=doc.get("output_dir", "out"),
             )
             # fail fast on bad seeds and unresolvable presets, before any run starts
-            if not all(type(seed) is int and seed >= 0 for seed in cfg.seeds):
-                raise HarnessError(f"seeds must be non-negative integers, got {list(cfg.seeds)}")
+            for seed in cfg.seeds:
+                replace(cfg.optimizer, seed=seed)
             strategy_preset(cfg.strategy)
             scenario_preset(cfg.scenario)
         except HarnessError:

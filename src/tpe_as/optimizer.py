@@ -33,9 +33,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("budget", "n_init", "window", "n_candidates"):
-            if type(getattr(self, name)) is not int:  # a bool is not a size
+        for name in ("budget", "n_init", "window", "n_candidates", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool is not a count
                 raise OptimizerError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise OptimizerError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.mode not in ("adaptive", "conventional"):
             raise OptimizerError(f"unknown mode {self.mode!r}")
         if not 0 < self.k < 1:

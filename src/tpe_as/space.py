@@ -54,9 +54,6 @@ class ParamDomain:
         numbers = (int, float) if self.kind == "continuous" else (int, np.integer)
         return isinstance(value, numbers) and not isinstance(value, bool) and self.lo <= value <= self.hi
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def uniform_density(self) -> float:
         """Density (or pmf) of the uniform distribution over this domain."""
         if self.kind == "continuous":

@@ -35,8 +35,8 @@ class TrialRecord:
     flags: tuple = ()
 
     def __post_init__(self):
-        if self.proposal_density <= 0:
-            raise SurrogateError("proposal_density must be positive")
+        if not 0 < self.proposal_density < math.inf:  # also catches NaN
+            raise SurrogateError(f"proposal_density must be positive and finite, got {self.proposal_density!r}")
 
 
 class History:

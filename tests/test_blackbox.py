@@ -78,19 +78,18 @@ class TestGenerateScenario:
                 positive += 1
         assert positive >= 18
 
-    def test_zero_vol_is_exact_exponential(self):
-        spec = ScenarioSpec(
-            "high_volatility", n_assets=3, n_days=252, seed=0,
-            regimes=((0.10, 0.0),), switch_rate=0.0,
-        )
-        series = generate_scenario(spec)
+    def test_zero_vol_is_exact_exponential(self, monkeypatch):
+        # two equal regimes: the switches still draw, but every day has one drift
+        monkeypatch.setitem(bb.SCENARIOS, "high_volatility", (252, ((0.10, 0.0), (0.10, 0.0)), 6.0, 0.0))
+        monkeypatch.setattr(bb, "N_ASSETS", 3)
+        series = generate_scenario(ScenarioSpec("high_volatility"))
         t = np.arange(252)
         expect = 100.0 * np.exp(0.10 * t / 252)
         assert np.allclose(series.prices, np.tile(expect, (3, 1)))
 
-    def test_bad_horizon_rejected(self):
+    def test_unknown_kind_rejected(self):
         with pytest.raises(BlackboxError):
-            ScenarioSpec("high_volatility", 5, 500, 0, ((0.1, 0.2),))
+            ScenarioSpec("crypto_winter")
 
 
 class TestPriceSeries:
@@ -149,11 +148,7 @@ class TestRunStrategy:
         # exists on price day 9, so the position earns from portfolio day 9,
         # paying the turnover cost once on entry and never again
         kind = strategy_preset("trend_following", n_groups=1)
-        spec = ScenarioSpec(
-            "high_volatility", n_assets=1, n_days=252, seed=0,
-            regimes=((0.30, 0.0),), switch_rate=0.0,
-        )
-        prices = generate_scenario(spec)
+        prices = PriceSeries(100.0 * np.exp(0.30 * np.arange(252) / 252)[None, :])
         params = sized_params(kind, sizing=1.0, fast_0=2, slow_0=10, stop_0=0.30, mode_0="long_only")
         returns = run_strategy(kind, params, prices)
         asset = prices.returns[0]
@@ -243,8 +238,10 @@ class TestPresets:
             scenario_preset("sideways_forever")
 
 
-# The if-chain presets that the SCENARIOS and STRATEGIES tables replaced,
-# kept verbatim (with the horizon table they read) as the tables' oracle.
+# The if-chain presets that the SCENARIOS and STRATEGIES tables replaced
+# (with the horizon table they read), and the generator that read a market's
+# values off a seven-field ScenarioSpec, kept as the tables' oracle.  The
+# scenario preset returns the values its spec held, as the generator's arguments.
 SCENARIO_HORIZONS = {
     "high_volatility": 252,
     "stable_bull": 756,
@@ -253,28 +250,64 @@ SCENARIO_HORIZONS = {
 }
 
 
-def reference_scenario_preset(kind: str, n_assets: int = 20, seed: int = 0) -> ScenarioSpec:
-    """Build the canonical scenario for one of the four market settings."""
+def reference_scenario_preset(kind: str, n_assets: int = 20, seed: int = 0) -> dict:
+    """The arguments of reference_generate_scenario for one of the four market settings."""
     n_days = SCENARIO_HORIZONS.get(kind)
     if n_days is None:
         raise BlackboxError(f"unknown scenario kind {kind!r}")
+    spec = dict(n_assets=n_assets, n_days=n_days, seed=seed, mean_rev=0.0)
     if kind == "high_volatility":
         # sharp bull / crash / churn regimes: a crisis-like market where
         # fragile configurations shine briefly and break on the next switch
         regimes = ((0.90, 0.25), (-1.10, 0.40), (0.10, 0.60))
-        return ScenarioSpec(kind, n_assets, n_days, seed, regimes, switch_rate=6.0)
+        return dict(spec, regimes=regimes, switch_rate=6.0)
     if kind == "stable_bull":
         regimes = ((0.12, 0.10), (0.09, 0.14))
-        return ScenarioSpec(kind, n_assets, n_days, seed, regimes, switch_rate=1.0)
+        return dict(spec, regimes=regimes, switch_rate=1.0)
     if kind == "range_bound_long":
         regimes = ((0.0, 0.18), (0.0, 0.24))
-        return ScenarioSpec(
-            kind, n_assets, n_days, seed, regimes, switch_rate=2.0, mean_rev=2.0
-        )
+        return dict(spec, regimes=regimes, switch_rate=2.0, mean_rev=2.0)
     regimes = ((0.0, 0.16), (0.0, 0.22))
-    return ScenarioSpec(
-        "range_bound_short", n_assets, n_days, seed, regimes, switch_rate=2.0, mean_rev=2.0
-    )
+    return dict(spec, regimes=regimes, switch_rate=2.0, mean_rev=2.0)
+
+
+def reference_generate_scenario(n_assets, n_days, seed, regimes, switch_rate, mean_rev) -> np.ndarray:
+    """Regime-switching GBM paths with Poisson regime switches."""
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / 252
+
+    # market-wide regime timeline
+    regime = np.empty(n_days, dtype=int)
+    current = int(rng.integers(len(regimes)))
+    t = 0
+    while t < n_days:
+        if switch_rate > 0 and len(regimes) > 1:
+            gap = rng.exponential(1.0 / (switch_rate * dt))
+            run = max(1, int(gap))
+        else:
+            run = n_days
+        end = min(t + run, n_days)
+        regime[t:end] = current
+        t = end
+        if len(regimes) > 1:
+            step = 1 + int(rng.integers(len(regimes) - 1))
+            current = (current + step) % len(regimes)
+
+    drifts = np.array([regimes[r][0] for r in regime])
+    vols = np.array([regimes[r][1] for r in regime])
+
+    log_p = np.zeros((n_assets, n_days))
+    shocks = rng.standard_normal((n_assets, n_days - 1))
+    for t in range(1, n_days):
+        mu, sig = drifts[t], vols[t]
+        pull = -mean_rev * log_p[:, t - 1] * dt
+        log_p[:, t] = (
+            log_p[:, t - 1]
+            + (mu - 0.5 * sig * sig) * dt
+            + pull
+            + sig * math.sqrt(dt) * shocks[:, t - 1]
+        )
+    return 100.0 * np.exp(log_p)
 
 
 def reference_strategy_preset(name: str, n_groups: int = 5) -> StrategyKind:
@@ -329,9 +362,9 @@ class TestPresetTablesMatchReference:
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**32 - 1])
     @pytest.mark.parametrize("kind", SCENARIOS)
     def test_scenario(self, kind, seed):
-        new, old = scenario_preset(kind, seed=seed), reference_scenario_preset(kind, seed=seed)
-        assert new == old
-        assert repr(new) == repr(old)  # repr tells 6 from 6.0, as == does not
+        new = generate_scenario(scenario_preset(kind, seed=seed)).prices
+        old = reference_generate_scenario(**reference_scenario_preset(kind, seed=seed))
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("name", STRATEGIES)
     def test_show_space_prints_reference_space(self, capsys, name):

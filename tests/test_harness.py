@@ -187,6 +187,16 @@ class TestTrialLogs:
         with pytest.raises(SpaceError, match="^unknown keys for this space: 'mom_lb_5', 'mom_th_5', 'rsi_band_5', 'rsi_lb_5', 'sizing_5', 'stop_5'$"):
             history_from_jsonl(history_to_jsonl(history, six), five)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_nonfinite_density_line_rejected(self, mixed_space, literal):
+        # json.loads reads NaN and Infinity, so a log can carry them
+        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        lines = history_to_jsonl(history, mixed_space).splitlines()
+        lines[2] = re.sub(r'"proposal_density":[^,]*', f'"proposal_density":{literal}', lines[2])
+        assert f'"proposal_density":{literal},' in lines[2]
+        with pytest.raises(SurrogateError, match="^proposal_density must be positive and finite"):
+            history_from_jsonl("\n".join(lines), mixed_space)
+
     def test_skipped_step_rejected(self, mixed_space):
         history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
@@ -308,8 +318,8 @@ class TestRunExperiment:
         assert strip(a) == strip(b)
 
     def test_failed_seed_reported_alike_serial_and_parallel(self, tmp_path):
-        # seed -1 fails in its cell: np.random.default_rng rejects negative
-        # seeds; `replace` gets it past the parser, which rejects it too
+        # seed -1 fails in its cell: OptimizerConfig rejects negative seeds;
+        # `replace` gets it past the parser, which rejects it too
         rows = {}
         for parallelism in (1, 2):
             out = tmp_path / f"p{parallelism}"

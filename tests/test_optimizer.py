@@ -207,7 +207,17 @@ class TestRun:
             OptimizerConfig(budget=10, mode="chaotic")
 
     @pytest.mark.parametrize(
-        "name, value", [("budget", 30.0), ("n_init", True), ("window", 5.5), ("n_candidates", 8.0)]
+        "name, value",
+        [
+            ("budget", 30.0),
+            ("n_init", True),
+            ("window", 5.5),
+            ("n_candidates", 8.0),
+            # seed True would run as seed 1; -1 and 1.5 failed only inside numpy
+            ("seed", -1),
+            ("seed", True),
+            ("seed", 1.5),
+        ],
     )
     def test_rejects_non_int_size(self, name, value):
         with pytest.raises(OptimizerError, match=f"^{name} must be an int"):

@@ -96,9 +96,9 @@ class TestHistory:
         assert set(history.rows[:, 2]) <= {0.0, 1.0, 2.0}  # categorical choice indices
         assert [decode(mixed_space, row) for row in history.rows] == configs
 
-    @pytest.mark.parametrize("q", [0.0, -1.0, -math.inf])
-    def test_record_rejects_nonpositive_density(self, q):
-        with pytest.raises(SurrogateError, match="must be positive"):
+    @pytest.mark.parametrize("q", [0.0, -1.0, -math.inf, math.nan, math.inf])  # NaN is not <= 0
+    def test_record_rejects_bad_density(self, q):
+        with pytest.raises(SurrogateError, match="^proposal_density must be positive and finite"):
             TrialRecord(step=1, config=Config((0.5,)), f_value=0.0, j_score=0.0,
                         proposal_density=q, lambda_used=0.0)
 
@@ -198,7 +198,7 @@ class TestDensity:
             for dim, domain in enumerate(mixed_space.domains):
                 if domain.kind == "categorical":
                     continue
-                expected = domain.width() / min(100, n + 1)
+                expected = (domain.hi - domain.lo) / min(100, n + 1)
                 assert model.bandwidths[dim] == pytest.approx(expected)
 
     def test_uniform_categorical_closed_form(self):
@@ -422,7 +422,7 @@ def reference_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
         if d.is_numeric:
             arr = np.asarray(col, dtype=float)
             centers.append(arr)
-            bw = reference_scott_bandwidth(arr, n_numeric, d.width())
+            bw = reference_scott_bandwidth(arr, n_numeric, d.hi - d.lo)
             bandwidths[i] = bw
             if d.kind == "continuous":
                 hi_mass = erf((d.hi - arr) / (bw * SQRT2))
@@ -527,7 +527,7 @@ def config_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
         if d.is_numeric:
             arr, sigma = next(rows)
             centers.append(arr)
-            bandwidths[i] = bw = config_scott_bandwidth(sigma, n, len(numeric), d.width())
+            bandwidths[i] = bw = config_scott_bandwidth(sigma, n, len(numeric), d.hi - d.lo)
             if d.kind == "continuous":
                 hi_mass = erf((d.hi - arr) / (bw * SQRT2))
                 lo_mass = erf((d.lo - arr) / (bw * SQRT2))
@@ -768,7 +768,7 @@ class TestFastPathMatchesReference:
             reference_scott_bandwidth(
                 np.asarray([c.values[i] for c in members], dtype=float),
                 len(numeric),
-                space.domains[i].width(),
+                space.domains[i].hi - space.domains[i].lo,
             )
             for i in numeric
         ]
