@@ -206,6 +206,8 @@ def summary_from_log(log_path) -> dict:
     fs = np.asarray([json.loads(line)["f"] for line in Path(log_path).read_text().strip().splitlines()])
     if not fs.size:
         raise HarnessError(f"no trials in log: {log_path}")
+    if not np.isfinite(fs).all():
+        raise HarnessError(f"non-finite f in log: {log_path}")
     return {"max_f": float(fs.max()), "variance_f": float(np.var(fs))}
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
-from scipy.special import erf
 
 from .space import Config, ParamSpace, decode, encode, require_valid
 
@@ -37,6 +36,9 @@ class TrialRecord:
     def __post_init__(self):
         if not 0 < self.proposal_density < math.inf:  # also catches NaN
             raise SurrogateError(f"proposal_density must be positive and finite, got {self.proposal_density!r}")
+        for name in ("f_value", "j_score", "lambda_used"):  # a log line can carry NaN or Infinity
+            if not math.isfinite(value := getattr(self, name)):
+                raise SurrogateError(f"{name} must be finite, got {value!r}")
 
 
 class History:
@@ -119,6 +121,10 @@ def fit_kde(rows: np.ndarray, space: ParamSpace) -> KdeModel:
     """Fit a Parzen density with one component per row of an encoded
     (members x m) block; the rows come from a History, so they are valid.
     Each lattice sum Z(c) is a difference of two of the model's prefix sums."""
+    # imported here, not at module level: scipy.special takes longer to load
+    # than numpy, and random search, report and show-space never fit a KDE
+    from scipy.special import erf
+
     n = len(rows)
     if not n:
         raise SurrogateError("cannot fit a KDE on zero members")

@@ -5,8 +5,11 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +200,16 @@ class TestTrialLogs:
         with pytest.raises(SurrogateError, match="^proposal_density must be positive and finite"):
             history_from_jsonl("\n".join(lines), mixed_space)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("key, field", [("f", "f_value"), ("j_score", "j_score")])
+    def test_nonfinite_score_line_rejected(self, mixed_space, key, field, literal):
+        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        lines = history_to_jsonl(history, mixed_space).splitlines()
+        lines[2] = re.sub(rf'"{key}":[^,]*', f'"{key}":{literal}', lines[2])
+        assert f'"{key}":{literal},' in lines[2]
+        with pytest.raises(SurrogateError, match=f"^{field} must be finite"):
+            history_from_jsonl("\n".join(lines), mixed_space)
+
     def test_skipped_step_rejected(self, mixed_space):
         history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
@@ -304,6 +317,14 @@ class TestRunExperiment:
         with pytest.raises(HarnessError, match=f"^no trials in log: {re.escape(str(log))}$"):
             summary_from_log(log)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_summary_of_nonfinite_f_names_the_log(self, tmp_path, literal):
+        # json.loads reads these literals, and max and var would carry them into the row
+        log = tmp_path / "trials_nonfinite.jsonl"
+        log.write_text(f'{{"f":0.5}}\n{{"f":{literal}}}\n')
+        with pytest.raises(HarnessError, match=f"^non-finite f in log: {re.escape(str(log))}$"):
+            summary_from_log(log)
+
     def test_parallel_matches_serial(self, tmp_path):
         serial = make_config(tmp_path, output_dir=str(tmp_path / "serial"))
         parallel = make_config(tmp_path, output_dir=str(tmp_path / "parallel"))
@@ -383,3 +404,47 @@ class TestReport:
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(HarnessError):
             report(bad)
+
+
+# runs each argv of the JSON list in sys.argv[1] through cli.main, then prints
+# whether scipy.special was imported
+FRESH_CLI = """
+import json, sys
+from tpe_as import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print("scipy.special" in sys.modules)
+"""
+
+
+def fresh_cli_imports_scipy_special(*argvs) -> bool:
+    """Run each argv through cli.main in a new interpreter, which, unlike
+    this one, has not imported scipy.special yet; say whether it got loaded."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return {"True": True, "False": False}[out.stdout.splitlines()[-1]]
+
+
+class TestFreshProcess:
+    def test_random_search_report_and_show_space_leave_scipy_special_unloaded(self, tmp_path):
+        # only fit_kde needs scipy.special, and none of these fits a KDE
+        config = tmp_path / "random.json"
+        config.write_text(json.dumps(dict(BASE_DOC, method="random_search", seeds=[0], output_dir=str(tmp_path / "out"))))
+        assert not fresh_cli_imports_scipy_special(
+            ["show-space", "threshold_hybrid"],
+            ["run", str(config)],
+            ["report", str(tmp_path / "out" / "summary.csv")],
+        )
+
+    def test_tpe_run_loads_scipy_special_and_logs_as_in_process(self, tmp_path):
+        doc = dict(BASE_DOC, method="tpe_conventional", optimizer={"budget": 15, "n_init": 10}, seeds=[0])
+        for name in ("fresh", "here"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(dict(doc, output_dir=str(tmp_path / name))))
+        assert fresh_cli_imports_scipy_special(["run", str(tmp_path / "fresh.json")])
+        assert cli.main(["run", str(tmp_path / "here.json")]) == 0
+        log = "trials_tpe_conventional_trend_following_stable_bull_seed0.jsonl"
+        assert (tmp_path / "fresh" / log).read_bytes() == (tmp_path / "here" / log).read_bytes()

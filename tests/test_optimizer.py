@@ -31,6 +31,18 @@ def quadratic(cfg):
     return -((cfg.values[0] - 0.3) ** 2) - (cfg.values[1] - 0.7) ** 2
 
 
+MIXED_SPACE = ParamSpace((
+    ParamDomain("x", "continuous", 0.0, 1.0),
+    ParamDomain("n", "integer", 1, 10),
+    ParamDomain("c", "categorical", choices=("A", "B", "C")),
+))
+
+
+def mixed_f(cfg):
+    x, n, c = cfg.values
+    return -((x - 0.3) ** 2) - ((n - 4) / 10) ** 2 + {"A": 0.0, "B": 0.1, "C": -0.1}[c]
+
+
 class TestRun:
     def test_budget_exactness(self, space_2d):
         opt = OptimizerConfig(budget=30, n_init=10, seed=0)
@@ -155,23 +167,26 @@ class TestRun:
     def test_conventional_search_ignores_increasing_maps_of_f(self, seed):
         # with lambda at 0 the search sees f only through its ranks, so a
         # strictly increasing map of f proposes the same configs with the
-        # same densities; adaptive mode's penalty weighs f itself, so it is
-        # not asserted there
-        space = ParamSpace((
-            ParamDomain("x", "continuous", 0.0, 1.0),
-            ParamDomain("n", "integer", 1, 10),
-            ParamDomain("c", "categorical", choices=("A", "B", "C")),
-        ))
-
-        def f(cfg):
-            x, n, c = cfg.values
-            return -((x - 0.3) ** 2) - ((n - 4) / 10) ** 2 + {"A": 0.0, "B": 0.1, "C": -0.1}[c]
-
+        # same densities; adaptive mode's penalty weighs f itself (below)
         opt = OptimizerConfig(budget=60, mode="conventional", n_init=10, n_candidates=16, seed=seed)
-        expect = [(t.config, t.proposal_density) for t in run(opt, f, space).trials]
+        expect = [(t.config, t.proposal_density) for t in run(opt, mixed_f, MIXED_SPACE).trials]
         for increasing in (lambda v: 2 * v, lambda v: v + 1, math.exp):
-            mapped = run(opt, lambda cfg: increasing(f(cfg)), space)
+            mapped = run(opt, lambda cfg: increasing(mixed_f(cfg)), MIXED_SPACE)
             assert [(t.config, t.proposal_density) for t in mapped.trials] == expect
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: the penalty Var(w f) grows with the mean of f, so a shift of f moves the search",
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adaptive_search_ignores_a_shift_of_f(self, seed):
+        # a variance that does not depend on f's origin would make f and
+        # f + 1 propose the same configs; today the searches part at steps
+        # 22, 14 and 17
+        opt = OptimizerConfig(budget=60, mode="adaptive", n_init=10, n_candidates=16, seed=seed)
+        expect = [t.config for t in run(opt, mixed_f, MIXED_SPACE).trials]
+        shifted = run(opt, lambda cfg: mixed_f(cfg) + 1, MIXED_SPACE)
+        assert [t.config for t in shifted.trials] == expect
 
     def test_mode_reduction_with_zero_schedule(self, space_2d):
         opt_a = OptimizerConfig(budget=50, mode="adaptive", n_init=10, seed=6)

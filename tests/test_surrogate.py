@@ -102,6 +102,14 @@ class TestHistory:
             TrialRecord(step=1, config=Config((0.5,)), f_value=0.0, j_score=0.0,
                         proposal_density=q, lambda_used=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["f_value", "j_score", "lambda_used"])
+    def test_record_rejects_nonfinite_scores(self, field, value):
+        fields = dict(step=1, config=Config((0.5,)), f_value=0.0, j_score=0.0,
+                      proposal_density=1.0, lambda_used=0.0)
+        with pytest.raises(SurrogateError, match=f"^{field} must be finite, got {value!r}$"):
+            TrialRecord(**{**fields, field: value})
+
 
 class TestSplitHistory:
     def test_paper_quantile(self):
