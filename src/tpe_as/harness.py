@@ -149,6 +149,10 @@ def _finished_cells(config: ExperimentConfig, parallelism: int):
     """Yield (seed, cell result) in seed order, each once its cell finishes;
     a cell whose worker process died yields the error's repr, like one that raised."""
     cell = functools.partial(_run_cell, config)
+    if config.method != "random_search":
+        # what a KDE fit imports, loaded before any cell's timer starts and
+        # before a pool forks, so that its workers share it
+        import scipy.special  # noqa: F401
     if parallelism == 1:
         for seed in config.seeds:
             yield seed, cell(seed)

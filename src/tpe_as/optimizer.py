@@ -15,6 +15,7 @@ FAILURE_FLAG = "blackbox_failure"
 DEGENERATE_FLAG = "degenerate_volatility"
 NONFINITE_FLAG = "nonfinite_result"  # NaN, +-inf, or overflow-sized: |f| > MAX_ABS_F
 MAX_ABS_F = 1e100  # bigger results would overflow the windowed variance
+MAX_EPSILON = 1e6  # clip-weighted f values then stay within 1e106, whose variance cannot overflow
 
 
 class OptimizerError(ValueError):
@@ -44,8 +45,8 @@ class OptimizerConfig:
             raise OptimizerError("k must lie in (0,1)")
         if not top_count(self.n_init, self.k) < self.n_init < self.budget:  # a bad trial at n_init
             raise OptimizerError("need max(2, ceil(k*n_init)) < n_init < budget")
-        if isinstance(self.epsilon, bool) or not 0 <= self.epsilon < np.inf:  # a bool is not a number
-            raise OptimizerError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
+        if isinstance(self.epsilon, bool) or not 0 <= self.epsilon <= MAX_EPSILON:  # a bool is not a number
+            raise OptimizerError(f"epsilon must be a finite number in [0, {MAX_EPSILON:g}], got {self.epsilon!r}")
         if self.window < 2 or self.n_candidates < 1:
             raise OptimizerError("bad window/n_candidates")
 

@@ -448,3 +448,9 @@ class TestFreshProcess:
         assert cli.main(["run", str(tmp_path / "here.json")]) == 0
         log = "trials_tpe_conventional_trend_following_stable_bull_seed0.jsonl"
         assert (tmp_path / "fresh" / log).read_bytes() == (tmp_path / "here" / log).read_bytes()
+
+    def test_pooled_tpe_run_loads_scipy_special_before_forking(self, tmp_path):
+        # the pool's workers then share the import, and no cell's timer includes it
+        doc = dict(BASE_DOC, method="tpe_conventional", optimizer={"budget": 15, "n_init": 10}, seeds=[0])
+        (tmp_path / "run.json").write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
+        assert fresh_cli_imports_scipy_special(["run", "--parallelism", "2", str(tmp_path / "run.json")])

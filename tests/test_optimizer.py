@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_space
+from tpe_as import objective
 from tpe_as.baselines import run_baseline
 from tpe_as.optimizer import (
     FAILURE_FLAG,
+    MAX_ABS_F,
+    MAX_EPSILON,
     NONFINITE_FLAG,
     OptimizerConfig,
     OptimizerError,
@@ -137,6 +141,16 @@ class TestRun:
             assert (FAILURE_FLAG in t.flags) == (outcome != "ok")
             assert (NONFINITE_FLAG in t.flags) == (outcome not in ("ok", "raise"))
 
+    def test_widest_epsilon_keeps_j_finite_at_the_largest_f(self, space_2d, monkeypatch):
+        # every density ratio beyond the clip, so each weight is 1 + MAX_EPSILON, on
+        # f values of +-MAX_ABS_F: the windowed variance stays finite, so every trial records
+        monkeypatch.setattr(objective, "importance_weight", lambda g, q, epsilon: 1.0 + epsilon)
+        opt = OptimizerConfig(budget=40, n_init=10, epsilon=MAX_EPSILON, seed=0)
+        signs = itertools.cycle([1.0, -1.0])
+        history = run(opt, lambda cfg: next(signs) * MAX_ABS_F, space_2d)
+        assert len(history) == 40
+        assert all(math.isfinite(t.j_score) for t in history.trials)
+
     def test_monotone_best_so_far(self, space_2d):
         opt = OptimizerConfig(budget=60, n_init=10, seed=5)
         history = run(opt, quadratic, space_2d)
@@ -238,9 +252,10 @@ class TestRun:
         with pytest.raises(OptimizerError, match=f"^{name} must be an int"):
             OptimizerConfig(**{"budget": 30, name: value})
 
-    @pytest.mark.parametrize("value", [True, False, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("value", [True, False, -0.1, math.inf, math.nan, MAX_EPSILON * 10])
     def test_rejects_bad_epsilon(self, value):
-        # a bool is not a number: "epsilon": true would run with epsilon = 1
+        # a bool is not a number: "epsilon": true would run with epsilon = 1;
+        # a wider clip than MAX_EPSILON could overflow the windowed variance
         with pytest.raises(OptimizerError, match="^epsilon must be a finite number"):
             OptimizerConfig(budget=30, epsilon=value)
 
