@@ -25,29 +25,28 @@ SCENARIOS = {
     "range_bound_short": (1008, ((0.0, 0.16), (0.0, 0.22)), 2.0, 2.0),
 }
 
+# every group is sized and stopped out alike; trend following and mean reversion share a mode
+SIZING_STOP = (ParamDomain("sizing", "continuous", 0.0, 1.0), ParamDomain("stop", "continuous", 0.02, 0.30))
+MODE = ParamDomain("mode", "categorical", choices=("long_only", "long_short"))
+
 # name -> one group's domains; group g appends _g to each name
 STRATEGIES = {
     "trend_following": (
         ParamDomain("fast", "integer", 2, 30),
         ParamDomain("slow", "integer", 10, 120),
-        ParamDomain("sizing", "continuous", 0.0, 1.0),
-        ParamDomain("stop", "continuous", 0.02, 0.30),
-        ParamDomain("mode", "categorical", choices=("long_only", "long_short")),
+        *SIZING_STOP, MODE,
     ),
     "mean_reversion": (
         ParamDomain("lookback", "integer", 5, 60),
         ParamDomain("entry_z", "continuous", 0.5, 3.0),
-        ParamDomain("sizing", "continuous", 0.0, 1.0),
-        ParamDomain("stop", "continuous", 0.02, 0.30),
-        ParamDomain("mode", "categorical", choices=("long_only", "long_short")),
+        *SIZING_STOP, MODE,
     ),
     "threshold_hybrid": (
         ParamDomain("mom_lb", "integer", 5, 60),
         ParamDomain("rsi_lb", "integer", 5, 30),
         ParamDomain("mom_th", "continuous", 0.0, 0.15),
         ParamDomain("rsi_band", "continuous", 10.0, 50.0),
-        ParamDomain("sizing", "continuous", 0.0, 1.0),
-        ParamDomain("stop", "continuous", 0.02, 0.30),
+        *SIZING_STOP,
     ),
 }
 
@@ -170,9 +169,10 @@ def _trailing_mean(sums: np.ndarray, w: int, t0: int) -> np.ndarray:
 def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.ndarray:
     """Desired position per asset per day, decided from data through that day.
 
-    Group g holds rows g, g + n_groups, ...  A signal is computed from the
-    first day its windows cover.  Before it a position is 0.0, but for
-    mean_reversion it is z = 0.0 through clip, mode and sizing: a signed zero.
+    Group g holds rows g, g + n_groups, ...  Each branch computes a signal from
+    its first day t0, and one tail applies the long-only mode and the sizing.
+    Before t0 a position is 0.0; mean_reversion's t0 is 0, and its z = 0.0 before
+    its window covers goes through clip, mode and sizing: a signed zero.
     """
     pos = np.zeros(series.prices.shape)
 
@@ -182,10 +182,8 @@ def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.
         if kind.name == "trend_following":
             s = series.price_sums[rows]
             lo, hi = sorted((int(params[f"fast_{g}"]), int(params[f"slow_{g}"])))
-            sig = np.sign(np.nan_to_num(_trailing_mean(s, lo, hi - 1) - _trailing_mean(s, hi, hi - 1)))
-            if params[f"mode_{g}"] == "long_only":
-                sig = np.maximum(sig, 0.0)
-            pos[rows, hi - 1 :] = sig * params[f"sizing_{g}"]
+            t0 = hi - 1
+            sig = np.sign(np.nan_to_num(_trailing_mean(s, lo, t0) - _trailing_mean(s, hi, t0)))
         elif kind.name == "mean_reversion":
             lb = int(params[f"lookback_{g}"])
             mean = _trailing_mean(series.price_sums[rows], lb, lb - 1)
@@ -193,10 +191,8 @@ def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.
             std = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
             z = np.zeros(p.shape)
             np.divide(p[:, lb - 1 :] - mean, std, out=z[:, lb - 1 :], where=std > 1e-12)
-            raw = np.clip(-z / params[f"entry_z_{g}"], -1.0, 1.0)
-            if params[f"mode_{g}"] == "long_only":
-                raw = np.maximum(raw, 0.0)
-            pos[rows] = raw * params[f"sizing_{g}"]
+            t0 = 0
+            sig = np.clip(-z / params[f"entry_z_{g}"], -1.0, 1.0)
         else:  # threshold_hybrid
             lb = int(params[f"mom_lb_{g}"])
             rsi_lb = int(params[f"rsi_lb_{g}"])
@@ -211,7 +207,9 @@ def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.
             long_ok = (mom > th) & (rsi < 100.0 - band)
             short_ok = (mom < -th) & (rsi > band)
             sig = np.where(long_ok, 1.0, np.where(short_ok, -1.0, 0.0))
-            pos[rows, t0:] = sig * params[f"sizing_{g}"]
+        if params.get(f"mode_{g}") == "long_only":
+            sig = np.maximum(sig, 0.0)
+        pos[rows, t0:] = sig * params[f"sizing_{g}"]
     return pos
 
 

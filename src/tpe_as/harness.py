@@ -82,19 +82,14 @@ class ExperimentConfig:
         return cfg
 
 
+# trial log key -> TrialRecord field, in the order a log line writes them
+LOG_KEYS = {"step": "step", "config": "config", "f": "f_value", "j_score": "j_score",
+            "lambda": "lambda_used", "proposal_density": "proposal_density", "flags": "flags"}
+
+
 def trial_to_json(trial: TrialRecord, space: ParamSpace) -> str:
-    return json.dumps(
-        {
-            "step": trial.step,
-            "config": trial.config.as_dict(space),
-            "f": trial.f_value,
-            "j_score": trial.j_score,
-            "lambda": trial.lambda_used,
-            "proposal_density": trial.proposal_density,
-            "flags": list(trial.flags),
-        },
-        separators=(",", ":"),
-    )
+    doc = {key: getattr(trial, field) for key, field in LOG_KEYS.items()}  # flags, a tuple, dumps as a list
+    return json.dumps(doc | {"config": trial.config.as_dict(space)}, separators=(",", ":"))
 
 
 def history_to_jsonl(history: History, space: ParamSpace) -> str:
@@ -105,17 +100,9 @@ def history_from_jsonl(text: str, space: ParamSpace) -> History:
     history = History(space)  # whose append validates each config: a log is outside input
     for line in text.strip().splitlines():
         doc = json.loads(line)
-        history.append(
-            TrialRecord(
-                step=doc["step"],
-                config=Config.from_dict(space, doc["config"]),
-                f_value=doc["f"],
-                j_score=doc["j_score"],
-                proposal_density=doc["proposal_density"],
-                lambda_used=doc["lambda"],
-                flags=tuple(doc["flags"]),
-            )
-        )
+        fields = {field: doc[key] for key, field in LOG_KEYS.items()}
+        fields.update(config=Config.from_dict(space, doc["config"]), flags=tuple(doc["flags"]))
+        history.append(TrialRecord(**fields))
     return history
 
 
@@ -129,14 +116,10 @@ def _run_cell(config: ExperimentConfig, seed: int):
         kind = strategy_preset(config.strategy)
         spec = scenario_preset(config.scenario, seed=seed)
         blackbox = lambda cfg: evaluate(kind, spec, cfg)
-        opt = replace(
-            config.optimizer,
-            mode="adaptive" if config.method == "tpe_as" else "conventional",
-            seed=seed,
-        )
+        opt = replace(config.optimizer, seed=seed)
         start = time.perf_counter()
         if config.method == "tpe_as":
-            history = run(opt, blackbox, kind.param_space)
+            history = run(replace(opt, mode="adaptive"), blackbox, kind.param_space)
         else:
             history = run_baseline(config.method, opt, blackbox, kind.param_space)
         elapsed = time.perf_counter() - start

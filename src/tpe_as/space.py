@@ -54,14 +54,6 @@ class ParamDomain:
         numbers = (int, float) if self.kind == "continuous" else (int, np.integer)
         return isinstance(value, numbers) and not isinstance(value, bool) and self.lo <= value <= self.hi
 
-    def uniform_density(self) -> float:
-        """Density (or pmf) of the uniform distribution over this domain."""
-        if self.kind == "continuous":
-            return 1.0 / (self.hi - self.lo)
-        if self.kind == "integer":
-            return 1.0 / (int(self.hi) - int(self.lo) + 1)
-        return 1.0 / len(self.choices)
-
 
 @dataclass(frozen=True)
 class ParamSpace:
@@ -160,5 +152,7 @@ def uniform_density(space: ParamSpace) -> float:
     """Joint density of a uniform draw over the whole space."""
     out = 1.0
     for d in space.domains:
-        out *= d.uniform_density()
+        size = (d.hi - d.lo if d.kind == "continuous"
+                else int(d.hi) - int(d.lo) + 1 if d.kind == "integer" else len(d.choices))
+        out *= 1.0 / size  # not out /= size, which rounds differently
     return out

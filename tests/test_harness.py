@@ -231,6 +231,20 @@ class TestTrialLogs:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_method_decides_mode(self, tmp_path, method):
+        # built directly, not through from_json, so the optimizer's mode disagrees with the method
+        mode = "conventional" if method == "tpe_as" else "adaptive"
+        opt = OptimizerConfig(budget=6, n_init=4, mode=mode)
+        cfg = ExperimentConfig(method, "threshold_hybrid", "high_volatility", opt, (0,), str(tmp_path))
+        assert run_experiment(cfg) == 0
+        log = tmp_path / f"trials_{run_name(cfg, 0)}.jsonl"
+        trials = [json.loads(line) for line in log.read_text().splitlines()]
+        if method == "tpe_as":
+            assert trials[-1]["lambda"] == 1.0
+        else:
+            assert all(t["lambda"] == 0 and t["j_score"] == t["f"] for t in trials)
+
     def test_artifact_cardinality(self, tmp_path):
         cfg = make_config(tmp_path)
         status = run_experiment(cfg)
