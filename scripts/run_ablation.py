@@ -8,12 +8,10 @@ adaptive/conventional variance and max ratios.
 """
 
 import argparse
-import csv
 import json
-import statistics
 from pathlib import Path
 
-from tpe_as.harness import ExperimentConfig, report, run_experiment
+from tpe_as.harness import ExperimentConfig, report, run_experiment, summary_stats
 
 
 def main() -> int:
@@ -45,16 +43,13 @@ def main() -> int:
         )
         print(report(out / "summary.csv"))
 
-    metrics = {}
-    for method in ("tpe_as", "tpe_conventional"):
-        with (Path(args.output_dir) / method / "summary.csv").open() as fh:
-            rows = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
-        metrics[method] = (
-            statistics.median(float(r["variance_f"]) for r in rows),
-            statistics.median(float(r["max_f"]) for r in rows),
-        )
-    var_ratio = metrics["tpe_as"][0] / metrics["tpe_conventional"][0]
-    max_ratio = metrics["tpe_as"][1] / metrics["tpe_conventional"][1]
+    # each method's summary holds one group: threshold_hybrid x high_volatility
+    (adaptive,), (conventional,) = (
+        summary_stats(Path(args.output_dir) / method / "summary.csv").values()
+        for method in ("tpe_as", "tpe_conventional")
+    )
+    var_ratio = adaptive["variance_f"][0] / conventional["variance_f"][0]
+    max_ratio = adaptive["max_f"][0] / conventional["max_f"][0]
     print(f"\nadaptive/conventional median variance_f ratio: {var_ratio:.3f}")
     print(f"adaptive/conventional median max_f ratio:      {max_ratio:.3f}")
     return status

@@ -172,14 +172,14 @@ def run_experiment(
             outcome = [f"failed: {result}", "", "", ""]
         else:
             history, step_time = result
-            summary = summarize(history)
+            summary = summarize(history.f_values)
             name = run_name(config, seed)
             (out / f"trials_{name}.jsonl").write_text(history_to_jsonl(history, history.space))
             with (out / f"traj_{name}.csv").open("w", newline="") as tf:
                 tw = csv.writer(tf)
                 tw.writerow(["step", "f", "j_score"])
                 tw.writerows([t.step, repr(t.f_value), repr(t.j_score)] for t in history.trials)
-            outcome = ["ok", repr(summary.max_f), repr(summary.variance_f), f"{step_time:.6f}"]
+            outcome = ["ok", repr(summary["max_f"]), repr(summary["variance_f"]), f"{step_time:.6f}"]
         rows.append([config.method, config.strategy, config.scenario, seed] + outcome)
     with summary_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -189,13 +189,13 @@ def run_experiment(
 
 
 def summary_from_log(log_path) -> dict:
-    """Recompute a summary row's metrics straight from its trial log."""
+    """Recompute a summary row's metrics straight from its trial log, by `summarize`."""
     fs = np.asarray([json.loads(line)["f"] for line in Path(log_path).read_text().strip().splitlines()])
     if not fs.size:
         raise HarnessError(f"no trials in log: {log_path}")
     if not np.isfinite(fs).all():
         raise HarnessError(f"non-finite f in log: {log_path}")
-    return {"max_f": float(fs.max()), "variance_f": float(np.var(fs))}
+    return summarize(fs)
 
 
 def _median_iqr(values):
@@ -206,8 +206,9 @@ def _median_iqr(values):
     return med, qs[2] - qs[0]
 
 
-def report(summary_csv) -> str:
-    """Aggregate the summary CSV per (method, strategy, scenario) group."""
+def summary_stats(summary_csv) -> dict:
+    """Per (method, strategy, scenario) group of a summary CSV's ok rows:
+    {"max_f": (median, IQR), "variance_f": (median, IQR)}."""
     path = Path(summary_csv)
     if not path.exists():
         raise HarnessError(f"no such summary file: {path}")
@@ -221,27 +222,24 @@ def report(summary_csv) -> str:
                 continue
             key = (row["method"], row["strategy"], row["scenario"])
             try:
-                groups.setdefault(key, []).append(
-                    (float(row["max_f"]), float(row["variance_f"]))
-                )
+                groups.setdefault(key, []).append((float(row["max_f"]), float(row["variance_f"])))
             except ValueError as exc:
                 raise HarnessError(f"{path}:{i}: {exc}") from exc
+    return {key: dict(zip(("max_f", "variance_f"), map(_median_iqr, zip(*rows)))) for key, rows in groups.items()}
 
-    stats = {}
-    for key, rows in groups.items():
-        max_med, max_iqr = _median_iqr([r[0] for r in rows])
-        var_med, var_iqr = _median_iqr([r[1] for r in rows])
-        stats[key] = (max_med, max_iqr, var_med, var_iqr)
 
-    best_max = max(stats, key=lambda k: stats[k][0]) if stats else None
-    best_var = min(stats, key=lambda k: stats[k][2]) if stats else None
+def report(summary_csv) -> str:
+    """Format `summary_stats` as one line per group, flagging the best median max and variance."""
+    stats = summary_stats(summary_csv)
+    best_max = max(stats, key=lambda k: stats[k]["max_f"][0]) if stats else None
+    best_var = min(stats, key=lambda k: stats[k]["variance_f"][0]) if stats else None
 
     lines = [
         f"{'method':<18} {'strategy':<18} {'scenario':<18} "
         f"{'max_f med':>10} {'iqr':>8} {'var_f med':>10} {'iqr':>8}  flags"
     ]
     for key in sorted(stats):
-        max_med, max_iqr, var_med, var_iqr = stats[key]
+        (max_med, max_iqr), (var_med, var_iqr) = stats[key]["max_f"], stats[key]["variance_f"]
         flags = []
         if key == best_max:
             flags.append("best-max")

@@ -9,6 +9,8 @@ import numpy as np
 from .space import encode
 from .surrogate import History, KdeModel, density, fit_kde, rank_top
 
+MAX_EPSILON = 1e6  # clip-weighted f values then stay within 1e106, whose variance cannot overflow
+
 
 class ObjectiveError(ValueError):
     """Raised for invalid schedule or weight arguments."""
@@ -27,8 +29,8 @@ def importance_weight(g_density: float, q_density: float, epsilon: float) -> flo
     """Clipped ratio of target density over proposal density."""
     if g_density <= 0 or q_density <= 0:
         raise ObjectiveError("densities must be positive")
-    if not 0 <= epsilon < math.inf:
-        raise ObjectiveError("epsilon must be finite and nonnegative")
+    if not 0 <= epsilon <= MAX_EPSILON:  # also catches NaN
+        raise ObjectiveError(f"epsilon must be a finite number in [0, {MAX_EPSILON:g}], got {epsilon!r}")
     ratio = g_density / q_density
     return min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
 

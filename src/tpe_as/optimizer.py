@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .objective import build_g_model, lagrangian_score, lambda_schedule, windowed_variance
+from .objective import MAX_EPSILON, build_g_model, lagrangian_score, lambda_schedule, windowed_variance
 from .space import Config, ParamSpace, require_valid, sample_uniform, uniform_density
 from .surrogate import History, TrialRecord, propose_next, top_count
 
@@ -15,7 +15,6 @@ FAILURE_FLAG = "blackbox_failure"
 DEGENERATE_FLAG = "degenerate_volatility"
 NONFINITE_FLAG = "nonfinite_result"  # NaN, +-inf, or overflow-sized: |f| > MAX_ABS_F
 MAX_ABS_F = 1e100  # bigger results would overflow the windowed variance
-MAX_EPSILON = 1e6  # clip-weighted f values then stay within 1e106, whose variance cannot overflow
 
 
 class OptimizerError(ValueError):
@@ -49,13 +48,6 @@ class OptimizerConfig:
             raise OptimizerError(f"epsilon must be a finite number in [0, {MAX_EPSILON:g}], got {self.epsilon!r}")
         if self.window < 2 or self.n_candidates < 1:
             raise OptimizerError("bad window/n_candidates")
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    max_f: float
-    variance_f: float  # population variance of all observed f
-    best_config: Config
 
 
 def run(
@@ -120,10 +112,9 @@ def run(
     return history
 
 
-def summarize(history: History) -> RunSummary:
-    """Whole-run metrics: max f, population variance of f, best config."""
-    if len(history) == 0:
-        raise OptimizerError("cannot summarize an empty history")
-    fs = history.f_values
-    best = history.trials[int(np.argmax(fs))]
-    return RunSummary(max_f=float(fs.max()), variance_f=float(np.var(fs)), best_config=best.config)
+def summarize(f_values) -> dict:
+    """A run's metrics from its observed f values: max f and their population variance."""
+    fs = np.asarray(f_values, dtype=float)
+    if not fs.size:
+        raise OptimizerError("cannot summarize an empty run")
+    return {"max_f": float(fs.max()), "variance_f": float(np.var(fs))}

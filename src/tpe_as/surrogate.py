@@ -10,7 +10,6 @@ import numpy as np
 
 from .space import Config, ParamSpace, decode, encode, require_valid
 
-MAX_REJECTION_TRIES = 1000
 DENSITY_FLOOR = 1e-300  # keeps far-tail evaluations positive despite underflow
 CATEGORICAL_FLOOR = 0.1  # weight of the uniform table mixed into each categorical table
 SQRT2 = math.sqrt(2.0)
@@ -192,7 +191,7 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
         centers = np.array([model.centers[i] for i in dims]).T.tolist() if cont else None  # per component
         runs.append((len(dims), centers, [(model.bandwidths.get(i), domains[i].lo, domains[i].hi) for i in dims]))
     integers, standard_normal, random = rng.integers, rng.standard_normal, rng.random
-    comps, draws, tries = [], [], range(MAX_REJECTION_TRIES)
+    comps, draws = [], []
     for _ in range(n):
         comp = integers(model.n_components)
         comps.append(comp)
@@ -203,12 +202,10 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
                 continue
             z = standard_normal(size).tolist()[::-1]  # popped in draw order
             for center, (bw, lo, hi) in zip(centers[comp], kernels):
-                for _ in tries:
+                while True:  # fit_kde's bw <= (hi - lo) / 2: each try lands w.p. >= 0.477
                     x = center + bw * (z.pop() if z else standard_normal())
                     if lo <= x <= hi:
                         break
-                else:
-                    x = min(max(center, lo), hi)
                 row.append(x)
         draws.append(row)
     out = np.array(draws, dtype=float).reshape(n, model.space.m)

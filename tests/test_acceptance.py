@@ -122,8 +122,8 @@ def test_criterion_6_synthetic_competence():
     beats_random = 0
     for seed in range(5):
         opt = OptimizerConfig(budget=200, seed=seed)
-        tpe_best = summarize(run(opt, bb, space)).max_f
-        rs_best = summarize(run_baseline("random_search", opt, bb, space)).max_f
+        tpe_best = summarize(run(opt, bb, space).f_values)["max_f"]
+        rs_best = summarize(run_baseline("random_search", opt, bb, space).f_values)["max_f"]
         near_optimum += abs(tpe_best - oracle_best) <= 0.02
         beats_random += tpe_best >= rs_best
     ok = near_optimum >= 4 and beats_random >= 4

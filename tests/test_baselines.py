@@ -53,8 +53,8 @@ def test_tpe_beats_random_on_quadratic(space_2d):
     tpe_best, rs_best = [], []
     for seed in range(5):
         opt = OptimizerConfig(budget=100, n_init=20, seed=seed)
-        tpe_best.append(summarize(run_baseline("tpe_conventional", opt, quadratic, space_2d)).max_f)
-        rs_best.append(summarize(run_baseline("random_search", opt, quadratic, space_2d)).max_f)
+        tpe_best.append(summarize(run_baseline("tpe_conventional", opt, quadratic, space_2d).f_values)["max_f"])
+        rs_best.append(summarize(run_baseline("random_search", opt, quadratic, space_2d).f_values)["max_f"])
     assert statistics.median(tpe_best) >= statistics.median(rs_best)
 
 

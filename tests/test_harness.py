@@ -339,18 +339,27 @@ class TestRunExperiment:
         with pytest.raises(HarnessError, match=f"^non-finite f in log: {re.escape(str(log))}$"):
             summary_from_log(log)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = make_config(tmp_path, output_dir=str(tmp_path / "serial"))
-        parallel = make_config(tmp_path, output_dir=str(tmp_path / "parallel"))
-        run_experiment(serial, parallelism=1)
-        run_experiment(parallel, parallelism=2)
-        a = (tmp_path / "serial" / "summary.csv").read_text()
-        b = (tmp_path / "parallel" / "summary.csv").read_text()
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # the squared-price sums, and a market switch between the seeds of one serial run
+            dict(method="random_search", strategy="mean_reversion", scenario="range_bound_short",
+                 optimizer={"budget": 100}),
+        ],
+        ids=["tpe_as-trend-stable_bull", "random_search-mean_reversion-range_bound_short"],
+    )
+    def test_parallel_matches_serial(self, tmp_path, overrides):
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        run_experiment(make_config(tmp_path, **overrides, output_dir=str(serial)), parallelism=1)
+        run_experiment(make_config(tmp_path, **overrides, output_dir=str(parallel)), parallelism=2)
         # step timings differ between processes; compare everything else
-        strip = lambda text: [
-            row[:-1] for row in csv.reader(text.splitlines())
-        ]
-        assert strip(a) == strip(b)
+        strip = lambda path: [row[:-1] for row in csv.reader(path.read_text().splitlines())]
+        assert strip(serial / "summary.csv") == strip(parallel / "summary.csv")
+        names = sorted(p.name for pattern in ("trials_*.jsonl", "traj_*.csv") for p in serial.glob(pattern))
+        assert len(names) == 4  # a trial log and a trajectory per seed
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
     def test_failed_seed_reported_alike_serial_and_parallel(self, tmp_path):
         # seed -1 fails in its cell: OptimizerConfig rejects negative seeds;

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpe_as.objective import (
+    MAX_EPSILON,
     ObjectiveError,
     build_g_model,
     importance_weight,
@@ -65,9 +66,10 @@ class TestImportanceWeight:
         with pytest.raises(ObjectiveError):
             importance_weight(0.0, 1.0, 0.2)
 
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1, MAX_EPSILON * 10])
     def test_rejects_epsilon_outside_finite_nonnegative(self, epsilon):
-        # a nan or infinite epsilon would switch the clipping off
+        # a nan or infinite epsilon would switch the clipping off, and one
+        # above MAX_EPSILON could overflow the windowed variance
         with pytest.raises(ObjectiveError, match="epsilon"):
             importance_weight(5.0, 1.0, epsilon)
 

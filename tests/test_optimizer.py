@@ -163,8 +163,8 @@ class TestRun:
         hits = 0
         for seed in range(5):
             opt = OptimizerConfig(budget=200, mode="adaptive", seed=seed)
-            summary = summarize(run(opt, quadratic, space_2d))
-            if summary.max_f >= -0.02:
+            summary = summarize(run(opt, quadratic, space_2d).f_values)
+            if summary["max_f"] >= -0.02:
                 hits += 1
         assert hits >= 4
 
@@ -172,7 +172,8 @@ class TestRun:
         # best config within L-inf 0.15 of the true optimum on every seed
         for seed in range(5):
             opt = OptimizerConfig(budget=200, mode="adaptive", seed=seed)
-            best = summarize(run(opt, quadratic, space_2d)).best_config
+            history = run(opt, quadratic, space_2d)
+            best = history.trials[int(np.argmax(history.f_values))].config
             assert abs(best.values[0] - 0.3) <= 0.15
             assert abs(best.values[1] - 0.7) <= 0.15
 
@@ -270,10 +271,9 @@ class TestSummarize:
                 TrialRecord(step=i, config=Config((0.1 * i, 0.2)), f_value=f,
                             j_score=f, proposal_density=1.0, lambda_used=0.0)
             )
-        summary = summarize(history)
-        assert summary.max_f == 3.0
-        assert summary.variance_f == pytest.approx(2 / 3)
-        assert summary.best_config == Config((0.1 * 3, 0.2))
+        summary = summarize(history.f_values)
+        assert summary["max_f"] == 3.0
+        assert summary["variance_f"] == pytest.approx(2 / 3)
 
     def test_single_trial_zero_variance(self, space_2d):
         from tpe_as.surrogate import TrialRecord
@@ -283,9 +283,9 @@ class TestSummarize:
             TrialRecord(step=1, config=Config((0.5, 0.5)), f_value=1.5,
                         j_score=1.5, proposal_density=1.0, lambda_used=0.0)
         )
-        summary = summarize(history)
-        assert summary.variance_f == 0.0
+        summary = summarize(history.f_values)
+        assert summary["variance_f"] == 0.0
 
     def test_empty_history_rejected(self, space_2d):
         with pytest.raises(OptimizerError):
-            summarize(History(space_2d))
+            summarize(History(space_2d).f_values)

@@ -25,7 +25,6 @@ from tpe_as.space import (
 from tpe_as.surrogate import (
     CATEGORICAL_FLOOR,
     DENSITY_FLOOR,
-    MAX_REJECTION_TRIES,
     SQRT2,
     SQRT2PI,
     History,
@@ -189,6 +188,33 @@ class TestFitKde:
         model = fit_kde(encoded(mixed_space, members), mixed_space)
         for table in model.categorical_tables.values():
             assert table.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        strategy=st.sampled_from([None, *STRATEGIES]),
+        n=st.integers(1, 150),
+        layout=st.sampled_from(["uniform", "on-bounds", "coincident"]),
+    )
+    def test_bandwidth_at_most_half_width(self, seed, strategy, n, layout):
+        # sample_from_kde redraws a continuous dim until it lands in bounds,
+        # with no cap on the tries: a kernel on a center in [lo, hi] whose
+        # bandwidth is at most (hi - lo) / 2 lands each draw in bounds with
+        # probability at least Phi(2) - Phi(0) ~ 0.477.  Scott's rule stays
+        # below the half-width, since no spread of values in [lo, hi] exceeds
+        # it, and the floor (hi - lo) / min(100, n + 1) reaches it at n = 1.
+        rng = np.random.default_rng(seed)
+        space = strategy_preset(strategy).param_space if strategy else random_space(rng, max_dims=30, max_width=111)
+        members = [sample_uniform(space, rng) for _ in range(1 if layout == "coincident" else n)]
+        rows = encoded(space, members * n if layout == "coincident" else members)
+        numeric = [(i, d) for i, d in enumerate(space.domains) if d.is_numeric]
+        if layout == "on-bounds":
+            for i, d in numeric:
+                rows[:, i] = np.where(rng.integers(2, size=n), d.hi, d.lo)
+        model = fit_kde(rows, space)
+        assert list(model.bandwidths) == [i for i, _ in numeric]
+        for i, d in numeric:
+            assert model.bandwidths[i] <= (d.hi - d.lo) / 2
 
 
 class TestDensity:
@@ -467,7 +493,7 @@ def reference_sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Conf
         if d.kind == "continuous":
             center = model.centers[i][comp]
             bw = model.bandwidths[i]
-            for _ in range(MAX_REJECTION_TRIES):
+            for _ in range(1000):
                 x = rng.normal(center, bw)
                 if d.lo <= x <= d.hi:
                     break
@@ -595,7 +621,7 @@ def config_sample_from_kde(model: ConfigKdeModel, rng: np.random.Generator, n: i
             if d.kind == "continuous":
                 center = model.centers[i][comp]
                 bw = model.bandwidths[i]
-                for _ in range(MAX_REJECTION_TRIES):
+                for _ in range(1000):
                     x = rng.normal(center, bw)
                     if d.lo <= x <= d.hi:
                         break
