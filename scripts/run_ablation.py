@@ -11,7 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
-from tpe_as.harness import ExperimentConfig, report, run_experiment, summary_stats
+from tpe_as.harness import METHODS, ExperimentConfig, report, run_experiment, summary_stats
 
 
 def main() -> int:
@@ -24,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
 
     status = 0
-    for method in ("tpe_as", "tpe_conventional", "random_search"):
+    for method in METHODS:
         out = Path(args.output_dir) / method
         config = ExperimentConfig.from_json(
             json.dumps(

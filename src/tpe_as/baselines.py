@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 from .optimizer import OptimizerConfig, run
@@ -23,10 +22,8 @@ def run_baseline(
     blackbox: Callable[[Config], float],
     space: ParamSpace,
 ) -> History:
-    """random_search: all trials uniform; tpe_conventional: lambda-free TPE."""
+    """The zero schedule, with uniform proposals (random_search) or TPE ones (tpe_conventional)."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
-    conv = replace(opt, mode="conventional")
-    if kind == "random_search":
-        return run(conv, blackbox, space, propose=propose_uniform)
-    return run(conv, blackbox, space)
+    propose = propose_uniform if kind == "random_search" else None
+    return run(opt, blackbox, space, schedule=lambda t, eta: 0.0, propose=propose)

@@ -58,7 +58,7 @@ class ExperimentConfig:
         try:
             doc = json.loads(text)
             opt_doc = dict(doc.get("optimizer", {}))
-            opt_doc.pop("mode", None)  # mode follows the method
+            opt_doc.pop("mode", None)  # not a field, as the method picks lambda; dropped so old configs load
             opt_doc.pop("seed", None)  # and each cell sets its own seed
             cfg = cls(
                 method=doc["method"],
@@ -119,7 +119,7 @@ def _run_cell(config: ExperimentConfig, seed: int):
         opt = replace(config.optimizer, seed=seed)
         start = time.perf_counter()
         if config.method == "tpe_as":
-            history = run(replace(opt, mode="adaptive"), blackbox, kind.param_space)
+            history = run(opt, blackbox, kind.param_space)
         else:
             history = run_baseline(config.method, opt, blackbox, kind.param_space)
         elapsed = time.perf_counter() - start

@@ -24,7 +24,6 @@ class OptimizerError(ValueError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     budget: int
-    mode: str = "adaptive"  # adaptive | conventional
     k: float = 0.15
     epsilon: float = 0.2
     window: int = 20
@@ -38,8 +37,6 @@ class OptimizerConfig:
                 raise OptimizerError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise OptimizerError(f"seed must be an int >= 0, got {self.seed!r}")
-        if self.mode not in ("adaptive", "conventional"):
-            raise OptimizerError(f"unknown mode {self.mode!r}")
         if not 0 < self.k < 1:
             raise OptimizerError("k must lie in (0,1)")
         if not top_count(self.n_init, self.k) < self.n_init < self.budget:  # a bad trial at n_init
@@ -61,11 +58,11 @@ def run(
 
     `propose` has the signature of `propose_next`, (history, k, n_candidates,
     rng) -> (config, proposal density), and reads the space off the History.
-    Conventional mode keeps lambda at 0 (objective score equals raw f);
-    adaptive mode follows the cosine schedule and penalizes the clip-weighted
-    windowed variance.  A blackbox that raises, or returns NaN, +-inf or a
-    value beyond +-MAX_ABS_F, records f = 0 with FAILURE_FLAG (plus
-    NONFINITE_FLAG for a bad value), and the budget is still consumed.
+    Trial t is scored with lambda = schedule(t, budget), by default the cosine
+    schedule that penalizes the clip-weighted windowed variance; a zero
+    schedule keeps J = f: conventional TPE.  A blackbox that raises, or returns
+    NaN, +-inf or a value beyond +-MAX_ABS_F, records f = 0 with FAILURE_FLAG
+    (plus NONFINITE_FLAG for a bad value), and the budget is still consumed.
     """
     propose = propose or propose_next  # resolved per call, so a rebound name is used
     rng = np.random.default_rng(opt.seed)
@@ -89,7 +86,7 @@ def run(
         except Exception:
             f, flags = 0.0, (FAILURE_FLAG,)
 
-        lam = schedule(t, opt.budget) if opt.mode == "adaptive" else 0.0
+        lam = schedule(t, opt.budget)
         variance = 0.0
         if lam > 0 and len(history) >= 2:
             g_model = build_g_model(history, opt.k)

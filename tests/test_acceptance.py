@@ -5,6 +5,7 @@ threshold_hybrid x high_volatility ablation (10 optimizer runs at budget
 500) and takes about 20 s on a 2-vCPU machine.
 """
 
+import functools
 import json
 import math
 import statistics
@@ -101,11 +102,11 @@ def test_criterion_5_mode_reduction():
     def bb(cfg):
         return -((cfg.values[0] - 0.3) ** 2) - (cfg.values[1] - 0.7) ** 2
 
-    zero_schedule = lambda t, eta: 0.0
-    forced = run(OptimizerConfig(budget=100, mode="adaptive", seed=7), bb, space,
-                 schedule=zero_schedule)
-    conventional = run(OptimizerConfig(budget=100, mode="conventional", seed=7), bb, space)
+    opt = OptimizerConfig(budget=100, seed=7)
+    forced = run(opt, bb, space, schedule=lambda t, eta: 0.0)
+    conventional = run_baseline("tpe_conventional", opt, bb, space)
     ok = forced.trials == conventional.trials
+    ok &= all(t.j_score == t.f_value and t.lambda_used == 0.0 for t in forced.trials)
     _verdict(5, "mode reduction", ok)
 
 
@@ -130,11 +131,11 @@ def test_criterion_6_synthetic_competence():
     _verdict(6, "synthetic-objective competence", ok)
 
 
-def _ablation_cell(mode, seed):
+def _ablation_cell(runner, seed):
     kind = strategy_preset("threshold_hybrid")
     spec = scenario_preset("high_volatility", seed=seed)
-    history = run(
-        OptimizerConfig(budget=500, mode=mode, seed=seed),
+    history = runner(
+        OptimizerConfig(budget=500, seed=seed),
         lambda cfg: evaluate(kind, spec, cfg),
         kind.param_space,
     )
@@ -144,8 +145,8 @@ def _ablation_cell(mode, seed):
 
 @pytest.mark.slow
 def test_criterion_7_ablation_direction():
-    adaptive = [_ablation_cell("adaptive", s) for s in range(5)]
-    conventional = [_ablation_cell("conventional", s) for s in range(5)]
+    adaptive = [_ablation_cell(run, s) for s in range(5)]
+    conventional = [_ablation_cell(functools.partial(run_baseline, "tpe_conventional"), s) for s in range(5)]
     var_ratio = statistics.median(v for v, _ in adaptive) / statistics.median(
         v for v, _ in conventional
     )

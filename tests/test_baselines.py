@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tpe_as.baselines import run_baseline
-from tpe_as.optimizer import OptimizerConfig, run, summarize
+from tpe_as.optimizer import OptimizerConfig, summarize
 from tpe_as.space import ParamDomain, ParamSpace, sample_uniform, uniform_density
 
 
@@ -34,14 +34,6 @@ def test_random_search_shape(space_2d):
         assert t.f_value == quadratic(t.config)
         assert t.j_score == t.f_value
         assert t.proposal_density == uniform_density(space_2d)
-
-
-def test_tpe_conventional_delegates(space_2d):
-    opt = OptimizerConfig(budget=40, n_init=10, seed=1)
-    viaBaseline = run_baseline("tpe_conventional", opt, quadratic, space_2d)
-    conv = OptimizerConfig(budget=40, mode="conventional", n_init=10, seed=1)
-    direct = run(conv, quadratic, space_2d)
-    assert viaBaseline.trials == direct.trials
 
 
 def test_unknown_kind_rejected(space_2d):

@@ -101,8 +101,9 @@ class TestConfigParsing:
             ExperimentConfig.from_json(text)
 
     def test_mode_key_ignored(self, tmp_path):
+        # the method picks lambda; a config from before that still loads
         cfg = make_config(tmp_path, optimizer={"budget": 30, "mode": "conventional"})
-        assert cfg.optimizer.mode == "adaptive"
+        assert cfg == make_config(tmp_path, optimizer={"budget": 30})
 
     def test_optimizer_seed_key_ignored(self, tmp_path):
         cfg = make_config(tmp_path, optimizer={"budget": 30, "seed": 7})
@@ -232,10 +233,8 @@ class TestTrialLogs:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("method", harness.METHODS)
-    def test_method_decides_mode(self, tmp_path, method):
-        # built directly, not through from_json, so the optimizer's mode disagrees with the method
-        mode = "conventional" if method == "tpe_as" else "adaptive"
-        opt = OptimizerConfig(budget=6, n_init=4, mode=mode)
+    def test_method_decides_lambda(self, tmp_path, method):
+        opt = OptimizerConfig(budget=6, n_init=4)
         cfg = ExperimentConfig(method, "threshold_hybrid", "high_volatility", opt, (0,), str(tmp_path))
         assert run_experiment(cfg) == 0
         log = tmp_path / f"trials_{run_name(cfg, 0)}.jsonl"

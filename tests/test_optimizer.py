@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_space
-from tpe_as import objective
-from tpe_as.baselines import run_baseline
+from tpe_as import objective, optimizer
+from tpe_as.baselines import BASELINE_KINDS, run_baseline
 from tpe_as.optimizer import (
     FAILURE_FLAG,
     MAX_ABS_F,
@@ -47,14 +47,29 @@ def mixed_f(cfg):
     return -((x - 0.3) ** 2) - ((n - 4) / 10) ** 2 + {"A": 0.0, "B": 0.1, "C": -0.1}[c]
 
 
+@pytest.fixture
+def objective_steps(monkeypatch):
+    """The step t of every build_g_model and windowed_variance call the loop makes, by name."""
+    steps = {}
+    for name in ("build_g_model", "windowed_variance"):
+        steps[name] = []
+
+        def counted(history, *args, _steps=steps[name], _original=getattr(optimizer, name)):
+            _steps.append(len(history) + 1)  # trial t is scored against the t - 1 before it
+            return _original(history, *args)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    return steps
+
+
 class TestRun:
     def test_budget_exactness(self, space_2d):
         opt = OptimizerConfig(budget=30, n_init=10, seed=0)
         assert len(run(opt, quadratic, space_2d)) == 30
 
     def test_conventional_j_equals_f(self, space_2d):
-        opt = OptimizerConfig(budget=30, mode="conventional", n_init=10, seed=1)
-        history = run(opt, quadratic, space_2d)
+        opt = OptimizerConfig(budget=30, n_init=10, seed=1)
+        history = run_baseline("tpe_conventional", opt, quadratic, space_2d)
         for t in history.trials:
             assert t.j_score == t.f_value
             assert t.lambda_used == 0.0
@@ -107,7 +122,7 @@ class TestRun:
             scored.append(cfg)
             return quadratic(cfg)
 
-        opt = OptimizerConfig(budget=25, mode="conventional", n_init=10, seed=0)
+        opt = OptimizerConfig(budget=25, n_init=10, seed=0)
         with pytest.raises(SpaceError, match=r"^x1: value -999\.0 outside continuous domain$"):
             run(opt, lenient, space_2d, propose=stray)
         assert len(scored) == 10  # the warm-up only
@@ -162,7 +177,7 @@ class TestRun:
     def test_adaptive_finds_quadratic_optimum(self, space_2d):
         hits = 0
         for seed in range(5):
-            opt = OptimizerConfig(budget=200, mode="adaptive", seed=seed)
+            opt = OptimizerConfig(budget=200, seed=seed)
             summary = summarize(run(opt, quadratic, space_2d).f_values)
             if summary["max_f"] >= -0.02:
                 hits += 1
@@ -171,7 +186,7 @@ class TestRun:
     def test_adaptive_localizes_quadratic_optimum(self, space_2d):
         # best config within L-inf 0.15 of the true optimum on every seed
         for seed in range(5):
-            opt = OptimizerConfig(budget=200, mode="adaptive", seed=seed)
+            opt = OptimizerConfig(budget=200, seed=seed)
             history = run(opt, quadratic, space_2d)
             best = history.trials[int(np.argmax(history.f_values))].config
             assert abs(best.values[0] - 0.3) <= 0.15
@@ -182,11 +197,12 @@ class TestRun:
     def test_conventional_search_ignores_increasing_maps_of_f(self, seed):
         # with lambda at 0 the search sees f only through its ranks, so a
         # strictly increasing map of f proposes the same configs with the
-        # same densities; adaptive mode's penalty weighs f itself (below)
-        opt = OptimizerConfig(budget=60, mode="conventional", n_init=10, n_candidates=16, seed=seed)
-        expect = [(t.config, t.proposal_density) for t in run(opt, mixed_f, MIXED_SPACE).trials]
+        # same densities; the adaptive schedule's penalty weighs f itself (below)
+        opt = OptimizerConfig(budget=60, n_init=10, n_candidates=16, seed=seed)
+        conventional = functools.partial(run_baseline, "tpe_conventional", opt)
+        expect = [(t.config, t.proposal_density) for t in conventional(mixed_f, MIXED_SPACE).trials]
         for increasing in (lambda v: 2 * v, lambda v: v + 1, math.exp):
-            mapped = run(opt, lambda cfg: increasing(mixed_f(cfg)), MIXED_SPACE)
+            mapped = conventional(lambda cfg: increasing(mixed_f(cfg)), MIXED_SPACE)
             assert [(t.config, t.proposal_density) for t in mapped.trials] == expect
 
     @pytest.mark.xfail(
@@ -198,17 +214,32 @@ class TestRun:
         # a variance that does not depend on f's origin would make f and
         # f + 1 propose the same configs; today the searches part at steps
         # 22, 14 and 17
-        opt = OptimizerConfig(budget=60, mode="adaptive", n_init=10, n_candidates=16, seed=seed)
+        opt = OptimizerConfig(budget=60, n_init=10, n_candidates=16, seed=seed)
         expect = [t.config for t in run(opt, mixed_f, MIXED_SPACE).trials]
         shifted = run(opt, lambda cfg: mixed_f(cfg) + 1, MIXED_SPACE)
         assert [t.config for t in shifted.trials] == expect
 
-    def test_mode_reduction_with_zero_schedule(self, space_2d):
-        opt_a = OptimizerConfig(budget=50, mode="adaptive", n_init=10, seed=6)
-        opt_c = OptimizerConfig(budget=50, mode="conventional", n_init=10, seed=6)
-        forced = run(opt_a, quadratic, space_2d, schedule=lambda t, eta: 0.0)
-        conventional = run(opt_c, quadratic, space_2d)
-        assert forced.trials == conventional.trials
+    def test_lambda_comes_only_from_the_schedule(self, space_2d):
+        calls = []
+
+        def recording(t, eta):
+            calls.append((t, eta))
+            return t / 100
+
+        history = run(OptimizerConfig(budget=30, n_init=10, seed=8), quadratic, space_2d, schedule=recording)
+        assert calls == [(t, 30) for t in range(1, 31)]
+        assert [t.lambda_used for t in history.trials] == [t / 100 for t in range(1, 31)]
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_baselines_never_score_with_the_objective(self, space_2d, objective_steps, kind):
+        run_baseline(kind, OptimizerConfig(budget=30, n_init=10, seed=8), quadratic, space_2d)
+        assert objective_steps == {"build_g_model": [], "windowed_variance": []}
+
+    def test_default_run_scores_with_the_objective_from_step_3(self, space_2d, objective_steps):
+        # the cosine schedule is positive from t = 1; the variance needs two trials before t
+        run(OptimizerConfig(budget=30, n_init=10, seed=8), quadratic, space_2d)
+        steps = list(range(3, 31))
+        assert objective_steps == {"build_g_model": steps, "windowed_variance": steps}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -220,21 +251,17 @@ class TestRun:
         # a run fits a bad-group KDE at its first proposal, so an accepted
         # (k, n_init) must leave that group non-empty
         try:
-            opt = OptimizerConfig(
-                budget=n_init + 3, mode="conventional", k=k, n_init=n_init, n_candidates=4, seed=seed
-            )
+            opt = OptimizerConfig(budget=n_init + 3, k=k, n_init=n_init, n_candidates=4, seed=seed)
         except OptimizerError:
             assume(False)
         rng = np.random.default_rng(seed)
         space = random_space(rng)
-        history = run(opt, lambda cfg: float(rng.normal()), space)
+        history = run_baseline("tpe_conventional", opt, lambda cfg: float(rng.normal()), space)
         assert len(history) == n_init + 3
 
     def test_rejects_bad_config(self):
         with pytest.raises(OptimizerError):
             OptimizerConfig(budget=10, n_init=10)
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(budget=10, mode="chaotic")
 
     @pytest.mark.parametrize(
         "name, value",
