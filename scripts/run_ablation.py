@@ -8,10 +8,10 @@ adaptive/conventional variance and max ratios.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from tpe_as.harness import METHODS, ExperimentConfig, report, run_experiment, summary_stats
+from tpe_as.optimizer import OptimizerConfig
 
 
 def main() -> int:
@@ -26,17 +26,8 @@ def main() -> int:
     status = 0
     for method in METHODS:
         out = Path(args.output_dir) / method
-        config = ExperimentConfig.from_json(
-            json.dumps(
-                {
-                    "method": method,
-                    "strategy": "threshold_hybrid",
-                    "scenario": "high_volatility",
-                    "optimizer": {"budget": args.budget},
-                    "seeds": args.seeds,
-                    "output_dir": str(out),
-                }
-            )
+        config = ExperimentConfig(
+            method, "threshold_hybrid", "high_volatility", OptimizerConfig(budget=args.budget), tuple(args.seeds), str(out)
         )
         status |= run_experiment(
             config, overwrite=args.overwrite, parallelism=args.parallelism

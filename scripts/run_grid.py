@@ -7,11 +7,11 @@ report is printed at the end.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from tpe_as.blackbox import SCENARIOS, STRATEGIES
 from tpe_as.harness import METHODS, ExperimentConfig, report, run_experiment
+from tpe_as.optimizer import OptimizerConfig
 
 
 def main() -> int:
@@ -28,17 +28,8 @@ def main() -> int:
         for strategy in STRATEGIES:
             for scenario in SCENARIOS:
                 out = Path(args.output_dir) / f"{method}_{strategy}_{scenario}"
-                config = ExperimentConfig.from_json(
-                    json.dumps(
-                        {
-                            "method": method,
-                            "strategy": strategy,
-                            "scenario": scenario,
-                            "optimizer": {"budget": args.budget},
-                            "seeds": args.seeds,
-                            "output_dir": str(out),
-                        }
-                    )
+                config = ExperimentConfig(
+                    method, strategy, scenario, OptimizerConfig(budget=args.budget), tuple(args.seeds), str(out)
                 )
                 status |= run_experiment(
                     config, overwrite=args.overwrite, parallelism=args.parallelism

@@ -33,7 +33,7 @@ SUMMARY_HEADER = [
 
 
 class HarnessError(ValueError):
-    """Raised for unresolvable presets or malformed configs/CSVs."""
+    """Malformed config or CSV; `from_json` wraps the BlackboxError or OptimizerError of a bad preset or seed."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,10 @@ class ExperimentConfig:
             raise HarnessError("seeds must be non-empty and distinct")
         if not isinstance(self.output_dir, str):
             raise HarnessError(f"output_dir must be a string, got {self.output_dir!r}")
+        for seed in self.seeds:  # fail fast on bad seeds and unresolvable presets, before any run starts
+            replace(self.optimizer, seed=seed)
+        strategy_preset(self.strategy)
+        scenario_preset(self.scenario)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -60,7 +64,7 @@ class ExperimentConfig:
             opt_doc = dict(doc.get("optimizer", {}))
             opt_doc.pop("mode", None)  # not a field, as the method picks lambda; dropped so old configs load
             opt_doc.pop("seed", None)  # and each cell sets its own seed
-            cfg = cls(
+            return cls(
                 method=doc["method"],
                 strategy=doc["strategy"],
                 scenario=doc["scenario"],
@@ -68,18 +72,12 @@ class ExperimentConfig:
                 seeds=tuple(doc["seeds"]),
                 output_dir=doc.get("output_dir", "out"),
             )
-            # fail fast on bad seeds and unresolvable presets, before any run starts
-            for seed in cfg.seeds:
-                replace(cfg.optimizer, seed=seed)
-            strategy_preset(cfg.strategy)
-            scenario_preset(cfg.scenario)
         except HarnessError:
             raise
         except KeyError as exc:
             raise HarnessError(f"experiment config lacks key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise HarnessError(f"malformed experiment config: {exc}") from exc
-        return cfg
 
 
 # trial log key -> TrialRecord field, in the order a log line writes them

@@ -1,22 +1,19 @@
 """Acceptance gate: one test per criterion, one PASS/FAIL line each.
 
 Criteria 1-6 and 8 are fast property checks; criterion 7 runs the full
-threshold_hybrid x high_volatility ablation (10 optimizer runs at budget
-500) and takes about 20 s on a 2-vCPU machine.
+threshold_hybrid x high_volatility ablation (10 optimizer runs at budget 500)
+through `run_experiment` with two workers: about 15 s on a 2-vCPU machine.
 """
 
-import functools
 import json
 import math
-import statistics
 
 import numpy as np
 import pytest
 
 from conftest import encoded
 from tpe_as.baselines import run_baseline
-from tpe_as.blackbox import evaluate, scenario_preset, strategy_preset
-from tpe_as.harness import ExperimentConfig, run_experiment, run_name, summary_from_log
+from tpe_as.harness import ExperimentConfig, run_experiment, run_name, summary_from_log, summary_stats
 from tpe_as.objective import importance_weight, lambda_schedule
 from tpe_as.optimizer import OptimizerConfig, run, summarize
 from tpe_as.space import Config, ParamDomain, ParamSpace, sample_uniform
@@ -131,28 +128,19 @@ def test_criterion_6_synthetic_competence():
     _verdict(6, "synthetic-objective competence", ok)
 
 
-def _ablation_cell(runner, seed):
-    kind = strategy_preset("threshold_hybrid")
-    spec = scenario_preset("high_volatility", seed=seed)
-    history = runner(
-        OptimizerConfig(budget=500, seed=seed),
-        lambda cfg: evaluate(kind, spec, cfg),
-        kind.param_space,
-    )
-    fs = np.array([t.f_value for t in history.trials])
-    return float(np.var(fs)), float(fs.max())
-
-
 @pytest.mark.slow
-def test_criterion_7_ablation_direction():
-    adaptive = [_ablation_cell(run, s) for s in range(5)]
-    conventional = [_ablation_cell(functools.partial(run_baseline, "tpe_conventional"), s) for s in range(5)]
-    var_ratio = statistics.median(v for v, _ in adaptive) / statistics.median(
-        v for v, _ in conventional
-    )
-    max_ratio = statistics.median(m for _, m in adaptive) / statistics.median(
-        m for _, m in conventional
-    )
+def test_criterion_7_ablation_direction(tmp_path):
+    medians = {}
+    for method in ("tpe_as", "tpe_conventional"):
+        out = tmp_path / method
+        config = ExperimentConfig(
+            method, "threshold_hybrid", "high_volatility", OptimizerConfig(budget=500), tuple(range(5)), str(out)
+        )
+        assert run_experiment(config, parallelism=2) == 0  # a failed cell would drop its seed from the medians
+        (medians[method],) = summary_stats(out / "summary.csv").values()  # one group: this preset
+    adaptive, conventional = medians["tpe_as"], medians["tpe_conventional"]
+    var_ratio = adaptive["variance_f"][0] / conventional["variance_f"][0]
+    max_ratio = adaptive["max_f"][0] / conventional["max_f"][0]
     print(f"\ncriterion 7 measured: variance ratio {var_ratio:.3f} (need <= 0.70), "
           f"max ratio {max_ratio:.3f} (need >= 0.95)")
     ok = var_ratio <= 0.7 and max_ratio >= 0.95

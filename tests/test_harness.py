@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tpe_as import cli, harness
-from tpe_as.blackbox import strategy_preset
+from tpe_as.blackbox import BlackboxError, strategy_preset
 from tpe_as.harness import (
     ExperimentConfig,
     HarnessError,
@@ -65,6 +65,10 @@ MALFORMED_CONFIGS = {
 }
 
 
+# a stub monkeypatched into the harness reaches pool workers only by fork
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs fork workers")
+
+
 def make_config(tmp_path, **overrides):
     doc = dict(BASE_DOC, output_dir=str(tmp_path / "out"))
     doc.update(overrides)
@@ -94,6 +98,16 @@ class TestConfigParsing:
     def test_bad_seed_rejected(self, tmp_path, seed):
         with pytest.raises(HarnessError):
             make_config(tmp_path, seeds=[0, seed])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("strategy", "momentum_carry"), ("scenario", "sideways_crash"), ("seeds", (0, -1)), ("seeds", (0, True))],
+        ids=["unknown-strategy", "unknown-scenario", "seed--1", "seed-True"],
+    )
+    def test_config_built_in_code_checks_itself(self, tmp_path, field, value):
+        # the constructor checks what from_json checks, so `replace` cannot get round it
+        with pytest.raises(ValueError):
+            dataclasses.replace(make_config(tmp_path), **{field: value})
 
     @pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
     def test_malformed_config_rejected(self, text):
@@ -360,13 +374,20 @@ class TestRunExperiment:
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
-    def test_failed_seed_reported_alike_serial_and_parallel(self, tmp_path):
-        # seed -1 fails in its cell: OptimizerConfig rejects negative seeds;
-        # `replace` gets it past the parser, which rejects it too
+    @FORK_ONLY
+    def test_failed_seed_reported_alike_serial_and_parallel(self, tmp_path, monkeypatch):
+        real_preset = harness.scenario_preset
+
+        def preset_or_raise(kind, seed=0):  # seed 1's cell fails; seed 0's and the config's checks do not
+            if seed == 1:
+                raise BlackboxError(f"no market for seed {seed}")
+            return real_preset(kind, seed=seed)
+
+        monkeypatch.setattr(harness, "scenario_preset", preset_or_raise)
         rows = {}
         for parallelism in (1, 2):
             out = tmp_path / f"p{parallelism}"
-            cfg = dataclasses.replace(make_config(tmp_path, output_dir=str(out)), seeds=(0, -1))
+            cfg = make_config(tmp_path, output_dir=str(out))
             assert run_experiment(cfg, parallelism=parallelism) == 1
             assert (out / f"trials_{run_name(cfg, 0)}.jsonl").exists()
             text = (out / "summary.csv").read_text()
@@ -375,10 +396,7 @@ class TestRunExperiment:
         assert rows[1][1][4] == "ok"
         assert rows[1][2][4].startswith("failed: ")
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the crashing stub reaches the workers only by fork",
-    )
+    @FORK_ONLY
     def test_dead_worker_fails_only_its_seed(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path)
         out = tmp_path / "out"
