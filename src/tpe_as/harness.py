@@ -99,7 +99,9 @@ def history_from_jsonl(text: str, space: ParamSpace) -> History:
     for line in text.strip().splitlines():
         doc = json.loads(line)
         fields = {field: doc[key] for key, field in LOG_KEYS.items()}
-        fields.update(config=Config.from_dict(space, doc["config"]), flags=tuple(doc["flags"]))
+        fields["config"] = Config.from_dict(space, doc["config"])
+        if isinstance(fields["flags"], list):  # and TrialRecord refuses anything else, such as a string
+            fields["flags"] = tuple(fields["flags"])
         history.append(TrialRecord(**fields))
     return history
 
@@ -188,7 +190,16 @@ def run_experiment(
 
 def summary_from_log(log_path) -> dict:
     """Recompute a summary row's metrics straight from its trial log, by `summarize`."""
-    fs = np.asarray([json.loads(line)["f"] for line in Path(log_path).read_text().strip().splitlines()])
+    fs = []
+    for i, line in enumerate(Path(log_path).read_text().strip().splitlines(), start=1):
+        try:
+            f = json.loads(line)["f"]
+            if type(f) not in (int, float):  # np.asarray would read a bool as a number
+                raise TypeError(f"f must be a number, got {f!r}")
+        except (KeyError, TypeError, ValueError) as exc:  # also no f, not an object, not JSON
+            raise HarnessError(f"{log_path}:{i}: not a trial line: {exc!r}") from exc
+        fs.append(f)
+    fs = np.asarray(fs)
     if not fs.size:
         raise HarnessError(f"no trials in log: {log_path}")
     if not np.isfinite(fs).all():
@@ -216,6 +227,8 @@ def summary_stats(summary_csv) -> dict:
         if reader.fieldnames != SUMMARY_HEADER:
             raise HarnessError(f"{path}:1: unexpected header {reader.fieldnames}")
         for i, row in enumerate(reader, start=2):
+            if None in row or None in row.values():  # DictReader's key for extra fields, and value for missing ones
+                raise HarnessError(f"{path}:{i}: expected {len(SUMMARY_HEADER)} fields")
             if row["status"] != "ok":
                 continue
             key = (row["method"], row["strategy"], row["scenario"])

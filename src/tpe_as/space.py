@@ -95,15 +95,9 @@ class Config:
     def from_dict(cls, space: ParamSpace, doc: dict) -> "Config":
         if unknown := sorted(map(repr, set(doc) - {d.name for d in space.domains})):
             raise SpaceError(f"unknown keys for this space: {', '.join(unknown)}")
-        values = []
-        for d in space.domains:
-            if d.name not in doc:
-                raise SpaceError(f"missing value for {d.name}")
-            v = doc[d.name]
-            if d.kind == "integer" and isinstance(v, float) and v.is_integer():
-                v = int(v)
-            values.append(v)
-        return cls(tuple(values))
+        if missing := [d.name for d in space.domains if d.name not in doc]:
+            raise SpaceError(f"missing value for {missing[0]}")
+        return cls(tuple(doc[d.name] for d in space.domains))  # each value as read: require_valid judges it
 
 
 def require_valid(space: ParamSpace, config: Config) -> None:

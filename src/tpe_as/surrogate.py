@@ -33,6 +33,10 @@ class TrialRecord:
     flags: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.step, int) or isinstance(self.step, bool):  # a log line can carry true or 1.0
+            raise SurrogateError(f"step must be an int, got {self.step!r}")
+        if not isinstance(self.flags, tuple) or not all(isinstance(flag, str) for flag in self.flags):
+            raise SurrogateError(f"flags must be a tuple of strings, got {self.flags!r}")
         if not 0 < self.proposal_density < math.inf:  # also catches NaN
             raise SurrogateError(f"proposal_density must be positive and finite, got {self.proposal_density!r}")
         for name in ("f_value", "j_score", "lambda_used"):  # a log line can carry NaN or Infinity

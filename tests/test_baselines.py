@@ -48,12 +48,3 @@ def test_tpe_beats_random_on_quadratic(space_2d):
         tpe_best.append(summarize(run_baseline("tpe_conventional", opt, quadratic, space_2d).f_values)["max_f"])
         rs_best.append(summarize(run_baseline("random_search", opt, quadratic, space_2d).f_values)["max_f"])
     assert statistics.median(tpe_best) >= statistics.median(rs_best)
-
-
-def test_monotone_best_so_far(space_2d):
-    opt = OptimizerConfig(budget=30, n_init=10, seed=3)
-    history = run_baseline("random_search", opt, quadratic, space_2d)
-    running = -np.inf
-    for t in history.trials:
-        running = max(running, t.f_value)
-        assert max(x.f_value for x in history.trials[: t.step]) == running

@@ -136,6 +136,7 @@ class TestConfigParsing:
             (["run", "input"], UNDECODABLE),
             (["report", "input"], UNDECODABLE),
             (["run", "input"], b"\xff\xfe" + json.dumps(BASE_DOC).encode()),
+            (["report", "input"], ",".join(harness.SUMMARY_HEADER) + "\ntpe_as,trend_following,stable_bull,0,ok\n"),
         ],
         ids=[
             "run-malformed",
@@ -148,6 +149,7 @@ class TestConfigParsing:
             "run-undecodable",
             "report-undecodable",
             "run-undecodable-prefix",
+            "report-short-row",
         ],
     )
     def test_cli_reports_bad_input_in_one_line(self, tmp_path, monkeypatch, capsys, argv, text):
@@ -184,6 +186,7 @@ class TestTrialLogs:
             ("threshold_hybrid", "mom_lb_0", float("inf"), "integer"),
             ("threshold_hybrid", "mom_th_0", -1e9, "continuous"),
             ("trend_following", "mode_0", "never", "categorical"),
+            ("threshold_hybrid", "mom_lb_0", 5.0, "integer"),  # in bounds, but no writer puts a float there
         ],
     )
     def test_out_of_domain_line_rejected(self, strategy, name, value, kind):
@@ -223,6 +226,24 @@ class TestTrialLogs:
         lines[2] = re.sub(rf'"{key}":[^,]*', f'"{key}":{literal}', lines[2])
         assert f'"{key}":{literal},' in lines[2]
         with pytest.raises(SurrogateError, match=f"^{field} must be finite"):
+            history_from_jsonl("\n".join(lines), mixed_space)
+
+    @pytest.mark.parametrize(
+        "line, key, value, message",
+        [
+            (0, "step", True, "step must be an int, got True"),
+            (2, "step", 3.0, "step must be an int, got 3.0"),
+            (2, "flags", "blackbox_failure", "flags must be a tuple of strings, got 'blackbox_failure'"),
+            (2, "flags", [1], r"flags must be a tuple of strings, got \(1,\)"),
+        ],
+        ids=["step-true", "step-whole-float", "flags-string", "flags-not-strings"],
+    )
+    def test_ill_typed_step_or_flags_line_rejected(self, mixed_space, line, key, value, message):
+        # each would load as a record that history_to_jsonl writes back differently
+        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        lines = history_to_jsonl(history, mixed_space).splitlines()
+        lines[line] = json.dumps(json.loads(lines[line]) | {key: value})
+        with pytest.raises(SurrogateError, match=f"^{message}$"):
             history_from_jsonl("\n".join(lines), mixed_space)
 
     def test_skipped_step_rejected(self, mixed_space):
@@ -342,6 +363,17 @@ class TestRunExperiment:
         log = tmp_path / "trials_empty.jsonl"
         log.write_text(text)
         with pytest.raises(HarnessError, match=f"^no trials in log: {re.escape(str(log))}$"):
+            summary_from_log(log)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"j_score":0.5}', "not json", "[0.5]", '{"f":"0.5"}', '{"f":true}'],
+        ids=["no-f", "not-json", "not-an-object", "f-string", "f-bool"],
+    )
+    def test_summary_of_bad_line_names_the_log_and_line(self, tmp_path, bad):
+        log = tmp_path / "trials_bad.jsonl"
+        log.write_text(f'{{"f":0.5}}\n{bad}\n')
+        with pytest.raises(HarnessError, match=f"^{re.escape(str(log))}:2: not a trial line: "):
             summary_from_log(log)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

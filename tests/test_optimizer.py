@@ -166,14 +166,6 @@ class TestRun:
         assert len(history) == 40
         assert all(math.isfinite(t.j_score) for t in history.trials)
 
-    def test_monotone_best_so_far(self, space_2d):
-        opt = OptimizerConfig(budget=60, n_init=10, seed=5)
-        history = run(opt, quadratic, space_2d)
-        best = -np.inf
-        for t in history.trials:
-            best = max(best, t.f_value)
-            assert max(x.f_value for x in history.trials[: t.step]) == best
-
     def test_adaptive_finds_quadratic_optimum(self, space_2d):
         hits = 0
         for seed in range(5):

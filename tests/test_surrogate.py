@@ -254,48 +254,15 @@ class TestDensity:
         assert np.all(density(model, encoded(mixed_space, probes)) > 0)
 
 
-def reference_trunc_mass(d, bw, centers):
-    """Mass of each center's Gaussian kernel inside the bounds of a continuous domain."""
-    return 0.5 * (erf((d.hi - centers) / (bw * SQRT2)) - erf((d.lo - centers) / (bw * SQRT2)))
-
-
-def reference_lattice_pmf(d, bw, centers):
-    """Each center's Gaussian weights on the lattice of an integer domain, renormalized."""
-    lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
-    z = (lattice[None, :] - centers[:, None]) / bw
-    w = np.exp(-0.5 * z * z)
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def reference_density(model, config):
-    """The per-config density the batch path replaced, kept as its oracle;
-    truncation masses and lattice pmfs come from bandwidths and centers."""
-    require_valid(model.space, config)
-    per_component = np.ones(model.n_components)
-    categorical_factor = 1.0
-    for i, d in enumerate(model.space.domains):
-        v = config.values[i]
-        if d.kind == "continuous":
-            bw = model.bandwidths[i]
-            z = (float(v) - model.centers[i]) / bw
-            pdf = np.exp(-0.5 * z * z) / (bw * SQRT2PI)
-            per_component *= pdf / reference_trunc_mass(d, bw, model.centers[i])
-        elif d.kind == "integer":
-            per_component *= reference_lattice_pmf(d, model.bandwidths[i], model.centers[i])[:, int(v) - int(d.lo)]
-        else:
-            table = model.categorical_tables[i]
-            categorical_factor *= float(table[d.choices.index(v)])
-    return max(float(per_component.mean() * categorical_factor), DENSITY_FLOOR)
-
-
 class TestBatchDensity:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), max_width=st.sampled_from([30, 111]), coincident=st.booleans())
     def test_batch_equals_per_config(self, seed, max_width, coincident):
-        # within the declared tolerance of the per-dimension product: the GEMM
-        # rounds each row by the batch shape, so one-row calls may differ in the
-        # last bits too.  The probes include every member row and the same rows
-        # one ulp toward each bound, where |x - c|^2 nearly cancels to 0.  Wide
+        # within the declared tolerance of the per-dimension product of an
+        # independent per-config fit: the GEMM rounds each row by the batch
+        # shape, so one-row calls may differ in the last bits too.  The probes
+        # include every member row and the same rows one ulp toward each
+        # bound, where |x - c|^2 nearly cancels to 0.  Wide
         # lattices (111 values, as trend_following's slow windows) and coincident
         # members, whose bandwidths sit at their floor, make |z|^2 and the
         # lattice sums largest
@@ -316,7 +283,8 @@ class TestBatchDensity:
         rows = encoded(space, probes)
         batch = density(model, rows)
         assert np.all(np.isfinite(batch)) and np.all(batch > 0)
-        np.testing.assert_allclose(batch, [reference_density(model, p) for p in probes], rtol=1e-12, atol=0)
+        reference = config_density(config_fit_kde(members, space), probes)
+        np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             batch, np.concatenate([density(model, row[None]) for row in rows]), rtol=1e-12, atol=0
         )
@@ -396,9 +364,9 @@ class TestProposeNext:
         assert hits >= 90
 
 
-# The per-config validator, the rng.choice sampler and the per-column fit that
-# the fast path replaced, kept verbatim as its oracles: trial logs depend on
-# every draw, every bit of every bandwidth, and every SpaceError message.
+# The per-config validator and the rng.choice sampler that the fast path
+# replaced, kept verbatim as its oracles: trial logs depend on every draw and
+# every SpaceError message.
 
 
 def reference_require_valid(space: ParamSpace, config: Config) -> None:
@@ -414,20 +382,10 @@ def reference_require_valid(space: ParamSpace, config: Config) -> None:
         raise SpaceError("; ".join(bad))
 
 
-def reference_scott_bandwidth(values: np.ndarray, n_numeric: int, width: float) -> float:
-    sigma = float(np.std(values))
-    bw = sigma * len(values) ** (-1.0 / (n_numeric + 4))
-    # adaptive minimum keeps proposals diverse when members coincide; without
-    # it the search freezes on whatever point the good group collapses to
-    magic_clip = width / min(100, len(values) + 1)
-    floor_frac = 1e-3  # of domain width
-    return max(bw, magic_clip, floor_frac * width)
-
-
 @dataclass(frozen=True)
 class ConfigKdeModel:
-    """The model the per-column fit and the Config-based oracles build:
-    truncation masses and lattice pmfs are precomputed at fit time."""
+    """The model the Config-based oracles build: truncation masses and
+    lattice pmfs are precomputed at fit time."""
 
     space: ParamSpace
     centers: tuple  # per dim: component centers (None for categorical)
@@ -438,50 +396,12 @@ class ConfigKdeModel:
     lattice_pmf: dict  # integer dim index -> (n_components x lattice) pmf
 
 
-def reference_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
-    """Fit a Parzen density with one component per member config."""
-    if not members:
-        raise SurrogateError("cannot fit a KDE on zero members")
-    for cfg in members:
-        reference_require_valid(space, cfg)
-
-    n_numeric = sum(1 for d in space.domains if d.is_numeric)
-    centers = []
-    bandwidths = {}
-    tables = {}
-    trunc_mass = {}
-    lattice_pmf = {}
-    for i, d in enumerate(space.domains):
-        col = [cfg.values[i] for cfg in members]
-        if d.is_numeric:
-            arr = np.asarray(col, dtype=float)
-            centers.append(arr)
-            bw = reference_scott_bandwidth(arr, n_numeric, d.hi - d.lo)
-            bandwidths[i] = bw
-            if d.kind == "continuous":
-                hi_mass = erf((d.hi - arr) / (bw * SQRT2))
-                lo_mass = erf((d.lo - arr) / (bw * SQRT2))
-                trunc_mass[i] = 0.5 * (hi_mass - lo_mass)
-            else:
-                lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
-                z = (lattice[None, :] - arr[:, None]) / bw
-                w = np.exp(-0.5 * z * z)
-                lattice_pmf[i] = w / w.sum(axis=1, keepdims=True)
-        else:
-            centers.append(None)
-            counts = np.array([col.count(c) for c in d.choices], dtype=float)
-            empirical = counts / counts.sum()
-            uniform = np.full(len(d.choices), 1.0 / len(d.choices))
-            tables[i] = (1.0 - CATEGORICAL_FLOOR) * empirical + CATEGORICAL_FLOOR * uniform
-    return ConfigKdeModel(
-        space=space,
-        centers=tuple(centers),
-        bandwidths=bandwidths,
-        categorical_tables=tables,
-        n_components=len(members),
-        trunc_mass=trunc_mass,
-        lattice_pmf=lattice_pmf,
-    )
+def reference_lattice_pmf(d, bw, centers):
+    """Each center's Gaussian weights on the lattice of an integer domain, renormalized."""
+    lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
+    z = (lattice[None, :] - centers[:, None]) / bw
+    w = np.exp(-0.5 * z * z)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def reference_sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
@@ -515,8 +435,9 @@ def reference_validate_batch(space, *configs):
 
 
 # The Config-based surrogate and objective that the array path replaced, kept
-# verbatim as the oracle of the whole loop; only the names carry a `config_`
-# prefix, and the batch validator they called is `reference_validate_batch`.
+# verbatim as the oracle of the whole loop and of every bit of every bandwidth;
+# only the names carry a `config_` prefix, and the batch validator and lattice
+# pmf they called are `reference_validate_batch` and `reference_lattice_pmf`.
 
 
 def config_rank_top(history: History, k: float, score):
@@ -567,10 +488,7 @@ def config_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
                 lo_mass = erf((d.lo - arr) / (bw * SQRT2))
                 trunc_mass[i] = 0.5 * (hi_mass - lo_mass)
             else:
-                lattice = np.arange(int(d.lo), int(d.hi) + 1, dtype=float)
-                z = (lattice[None, :] - arr[:, None]) / bw
-                w = np.exp(-0.5 * z * z)
-                lattice_pmf[i] = w / w.sum(axis=1, keepdims=True)
+                lattice_pmf[i] = reference_lattice_pmf(d, bw, arr)
         else:
             centers.append(None)
             counts = np.array([columns[i].count(c) for c in d.choices], dtype=float)
@@ -792,15 +710,17 @@ class TestFastPathMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
     def test_fit_matches_per_column_fit(self, seed, strategy):
-        # bandwidths, centers and categorical tables equal the per-column fit bit
-        # for bit; the log normalisers, whose lattice sums come from one prefix
-        # sum per integer dimension, match the direct sums over each lattice
+        # each bandwidth is Scott's rule on its own column's np.std, and centers
+        # and categorical tables equal the Config-based fit's, bit for bit; the
+        # log normalisers, whose lattice sums come from one prefix sum per
+        # integer dimension, match the direct sums over each lattice
         space, members = space_and_members(seed, strategy)
-        model, reference = fit_kde(encoded(space, members), space), reference_fit_kde(members, space)
+        model, reference = fit_kde(encoded(space, members), space), config_fit_kde(members, space)
         numeric = [i for i, d in enumerate(space.domains) if d.is_numeric]
         per_column = [
-            reference_scott_bandwidth(
-                np.asarray([c.values[i] for c in members], dtype=float),
+            config_scott_bandwidth(
+                float(np.std(np.asarray([c.values[i] for c in members], dtype=float))),
+                len(members),
                 len(numeric),
                 space.domains[i].hi - space.domains[i].lo,
             )
