@@ -96,10 +96,13 @@ def history_to_jsonl(history: History, space: ParamSpace) -> str:
 
 def history_from_jsonl(text: str, space: ParamSpace) -> History:
     history = History(space)  # whose append validates each config: a log is outside input
-    for line in text.strip().splitlines():
-        doc = json.loads(line)
-        fields = {field: doc[key] for key, field in LOG_KEYS.items()}
-        fields["config"] = Config.from_dict(space, doc["config"])
+    for i, line in enumerate(text.strip().splitlines(), start=1):
+        try:
+            doc = json.loads(line)
+            fields = {field: doc[key] for key, field in LOG_KEYS.items()}
+            fields["config"] = Config.from_dict(space, doc["config"])  # whose SpaceError passes through
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:  # a key missing, not an object, not JSON
+            raise HarnessError(f"line {i}: not a trial line: {exc!r}") from exc
         if isinstance(fields["flags"], list):  # and TrialRecord refuses anything else, such as a string
             fields["flags"] = tuple(fields["flags"])
         history.append(TrialRecord(**fields))

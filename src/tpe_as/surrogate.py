@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -37,11 +38,16 @@ class TrialRecord:
             raise SurrogateError(f"step must be an int, got {self.step!r}")
         if not isinstance(self.flags, tuple) or not all(isinstance(flag, str) for flag in self.flags):
             raise SurrogateError(f"flags must be a tuple of strings, got {self.flags!r}")
-        if not 0 < self.proposal_density < math.inf:  # also catches NaN
+        if not (_is_real(self.proposal_density) and 0 < self.proposal_density < math.inf):  # also catches NaN
             raise SurrogateError(f"proposal_density must be positive and finite, got {self.proposal_density!r}")
         for name in ("f_value", "j_score", "lambda_used"):  # a log line can carry NaN or Infinity
-            if not math.isfinite(value := getattr(self, name)):
+            if not (_is_real(value := getattr(self, name)) and math.isfinite(value)):
                 raise SurrogateError(f"{name} must be finite, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """A real number other than a bool: a log line can carry true or "0.5"."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class History:

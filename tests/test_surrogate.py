@@ -95,13 +95,13 @@ class TestHistory:
         assert set(history.rows[:, 2]) <= {0.0, 1.0, 2.0}  # categorical choice indices
         assert [decode(mixed_space, row) for row in history.rows] == configs
 
-    @pytest.mark.parametrize("q", [0.0, -1.0, -math.inf, math.nan, math.inf])  # NaN is not <= 0
+    @pytest.mark.parametrize("q", [0.0, -1.0, -math.inf, math.nan, math.inf, True, "0.5"])  # NaN is not <= 0
     def test_record_rejects_bad_density(self, q):
         with pytest.raises(SurrogateError, match="^proposal_density must be positive and finite"):
             TrialRecord(step=1, config=Config((0.5,)), f_value=0.0, j_score=0.0,
                         proposal_density=q, lambda_used=0.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5"])  # a log line can carry true or "0.5"
     @pytest.mark.parametrize("field", ["f_value", "j_score", "lambda_used"])
     def test_record_rejects_nonfinite_scores(self, field, value):
         fields = dict(step=1, config=Config((0.5,)), f_value=0.0, j_score=0.0,
