@@ -14,6 +14,7 @@ TRADING_DAYS = 252
 TRANSACTION_COST = 0.0005  # 5 bp per unit of position change
 DEGENERATE_VOL = 1e-12
 N_ASSETS = 20  # in every scenario preset
+N_GROUPS = 5  # hyperparameter groups of every strategy; asset a is in group a % N_GROUPS
 
 # kind -> the (n_days, regimes, switch_rate, mean_rev) that generate_scenario reads
 SCENARIOS = {
@@ -104,7 +105,6 @@ class StrategyKind:
 
     name: str  # a key of STRATEGIES
     param_space: ParamSpace
-    n_groups: int
 
 
 def scenario_preset(kind: str, seed: int = 0) -> ScenarioSpec:
@@ -152,12 +152,12 @@ def generate_scenario(spec: ScenarioSpec) -> PriceSeries:
     return PriceSeries(prices=100.0 * np.exp(log_p))
 
 
-def strategy_preset(name: str, n_groups: int = 5) -> StrategyKind:
+def strategy_preset(name: str) -> StrategyKind:
     """Build a strategy family with per-group replicated hyperparameters."""
     if name not in STRATEGIES:
         raise BlackboxError(f"unknown strategy {name!r}")
-    domains = tuple(replace(d, name=f"{d.name}_{g}") for g in range(n_groups) for d in STRATEGIES[name])
-    return StrategyKind(name=name, param_space=ParamSpace(domains), n_groups=n_groups)
+    domains = tuple(replace(d, name=f"{d.name}_{g}") for g in range(N_GROUPS) for d in STRATEGIES[name])
+    return StrategyKind(name=name, param_space=ParamSpace(domains))
 
 
 def _trailing_mean(sums: np.ndarray, w: int, t0: int) -> np.ndarray:
@@ -169,15 +169,15 @@ def _trailing_mean(sums: np.ndarray, w: int, t0: int) -> np.ndarray:
 def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.ndarray:
     """Desired position per asset per day, decided from data through that day.
 
-    Group g holds rows g, g + n_groups, ...  Each branch computes a signal from
+    Group g holds rows g, g + N_GROUPS, ...  Each branch computes a signal from
     its first day t0, and one tail applies the long-only mode and the sizing.
     Before t0 a position is 0.0; mean_reversion's t0 is 0, and its z = 0.0 before
     its window covers goes through clip, mode and sizing: a signed zero.
     """
     pos = np.zeros(series.prices.shape)
 
-    for g in range(kind.n_groups):
-        rows = slice(g, None, kind.n_groups)
+    for g in range(N_GROUPS):
+        rows = slice(g, None, N_GROUPS)
         p = series.prices[rows]
         if kind.name == "trend_following":
             s = series.price_sums[rows]
@@ -213,9 +213,7 @@ def _raw_positions(kind: StrategyKind, params: dict, series: PriceSeries) -> np.
     return pos
 
 
-def _apply_stop_loss(
-    kind: StrategyKind, params: dict, prices: np.ndarray, raw_pos: np.ndarray
-) -> np.ndarray:
+def _apply_stop_loss(params: dict, prices: np.ndarray, raw_pos: np.ndarray) -> np.ndarray:
     """Force positions flat after an adverse move beyond the stop level.
 
     A run is a stretch of days with one sign of the raw position; its entry
@@ -224,7 +222,7 @@ def _apply_stop_loss(
     All decisions use prices through the current day.  Days are counted by
     flat index into prices, so that one take finds every entry price.
     """
-    stops = np.resize([params[f"stop_{g}"] for g in range(kind.n_groups)], prices.shape[0])
+    stops = np.resize([params[f"stop_{g}"] for g in range(N_GROUPS)], prices.shape[0])
     flat = np.arange(prices.size).reshape(prices.shape)
     sign = np.sign(raw_pos)
     changed = np.empty(sign.shape, dtype=bool)
@@ -248,7 +246,7 @@ def run_strategy(kind: StrategyKind, params: Config, prices: PriceSeries) -> np.
     require_valid(kind.param_space, params)
     pdict = params.as_dict(kind.param_space)
     raw = _raw_positions(kind, pdict, prices)
-    pos = _apply_stop_loss(kind, pdict, prices.prices, raw)
+    pos = _apply_stop_loss(pdict, prices.prices, raw)
 
     asset_ret = prices.returns  # (n_assets, n_days-1), day t uses prices t-1, t
     held = pos[:, :-1]  # position decided on day t-1 earns day t's return

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -236,9 +237,12 @@ def summary_stats(summary_csv) -> dict:
                 continue
             key = (row["method"], row["strategy"], row["scenario"])
             try:
-                groups.setdefault(key, []).append((float(row["max_f"]), float(row["variance_f"])))
+                max_f, variance_f = float(row["max_f"]), float(row["variance_f"])
             except ValueError as exc:
                 raise HarnessError(f"{path}:{i}: {exc}") from exc
+            if not (math.isfinite(max_f) and 0 <= variance_f < math.inf):  # no run summarizes to these
+                raise HarnessError(f"{path}:{i}: not a run's summary: max_f {max_f!r}, variance_f {variance_f!r}")
+            groups.setdefault(key, []).append((max_f, variance_f))
     return {key: dict(zip(("max_f", "variance_f"), map(_median_iqr, zip(*rows)))) for key, rows in groups.items()}
 
 

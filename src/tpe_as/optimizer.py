@@ -7,14 +7,20 @@ from typing import Callable
 
 import numpy as np
 
-from .objective import MAX_EPSILON, build_g_model, lagrangian_score, lambda_schedule, windowed_variance
+from .objective import build_g_model, lagrangian_score, lambda_schedule, windowed_variance
 from .space import Config, ParamSpace, require_valid, sample_uniform, uniform_density
-from .surrogate import History, TrialRecord, propose_next, top_count
+from .surrogate import History, TrialRecord, propose_next
 
 FAILURE_FLAG = "blackbox_failure"
 DEGENERATE_FLAG = "degenerate_volatility"
 NONFINITE_FLAG = "nonfinite_result"  # NaN, +-inf, or overflow-sized: |f| > MAX_ABS_F
 MAX_ABS_F = 1e100  # bigger results would overflow the windowed variance
+
+K = 0.15  # share of top trials that the good density and the g-model fit
+EPSILON = 0.2  # importance-weight clip
+WINDOW = 20  # trials in the windowed variance
+N_INIT = 20  # uniform warm-up draws
+N_CANDIDATES = 64  # candidates scored per TPE proposal
 
 
 class OptimizerError(ValueError):
@@ -24,27 +30,16 @@ class OptimizerError(ValueError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     budget: int
-    k: float = 0.15
-    epsilon: float = 0.2
-    window: int = 20
-    n_init: int = 20
-    n_candidates: int = 64
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("budget", "n_init", "window", "n_candidates", "seed"):
+        for name in ("budget", "seed"):
             if type(getattr(self, name)) is not int:  # a bool is not a count
                 raise OptimizerError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise OptimizerError(f"seed must be an int >= 0, got {self.seed!r}")
-        if not 0 < self.k < 1:
-            raise OptimizerError("k must lie in (0,1)")
-        if not top_count(self.n_init, self.k) < self.n_init < self.budget:  # a bad trial at n_init
-            raise OptimizerError("need max(2, ceil(k*n_init)) < n_init < budget")
-        if isinstance(self.epsilon, bool) or not 0 <= self.epsilon <= MAX_EPSILON:  # a bool is not a number
-            raise OptimizerError(f"epsilon must be a finite number in [0, {MAX_EPSILON:g}], got {self.epsilon!r}")
-        if self.window < 2 or self.n_candidates < 1:
-            raise OptimizerError("bad window/n_candidates")
+        if not N_INIT < self.budget:  # the first proposal then has a bad trial to fit
+            raise OptimizerError(f"budget must exceed the {N_INIT} warm-up draws, got {self.budget}")
 
 
 def run(
@@ -54,7 +49,7 @@ def run(
     schedule: Callable[[int, int], float] = lambda_schedule,
     propose: Callable | None = None,
 ) -> History:
-    """Warm-up with uniform draws, then `propose` (TPE by default); score each trial.
+    """Warm-up with N_INIT uniform draws, then `propose` (TPE by default); score each trial.
 
     `propose` has the signature of `propose_next`, (history, k, n_candidates,
     rng) -> (config, proposal density), and reads the space off the History.
@@ -70,11 +65,11 @@ def run(
     u_density = uniform_density(space)
 
     for t in range(1, opt.budget + 1):
-        if t <= opt.n_init:
+        if t <= N_INIT:
             config = sample_uniform(space, rng)
             q = u_density
         else:
-            config, q = propose(history, opt.k, opt.n_candidates, rng)
+            config, q = propose(history, K, N_CANDIDATES, rng)
         require_valid(space, config)  # SpaceError: a bad proposal is no black-box failure
 
         try:
@@ -89,10 +84,8 @@ def run(
         lam = schedule(t, opt.budget)
         variance = 0.0
         if lam > 0 and len(history) >= 2:
-            g_model = build_g_model(history, opt.k)
-            variance = windowed_variance(
-                history, g_model, (config, f, q), opt.epsilon, opt.window
-            )
+            g_model = build_g_model(history, K)
+            variance = windowed_variance(history, g_model, (config, f, q), EPSILON, WINDOW)
 
         j = lagrangian_score(f, variance, lam)
         history.append(

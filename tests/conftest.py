@@ -1,7 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
-from tpe_as.space import Config, ParamDomain, ParamSpace, encode, sample_uniform
+from tpe_as.optimizer import OptimizerConfig, run
+from tpe_as.space import ParamDomain, ParamSpace, encode
+
+SPACE_2D = ParamSpace((ParamDomain("x1", "continuous", 0.0, 1.0), ParamDomain("x2", "continuous", 0.0, 1.0)))
 
 
 @pytest.fixture
@@ -18,6 +23,22 @@ def mixed_space():
             ParamDomain("c", "categorical", choices=("A", "B", "C")),
         )
     )
+
+
+@pytest.fixture
+def space_2d():
+    return SPACE_2D
+
+
+def quadratic(cfg):
+    """A smooth objective on SPACE_2D whose maximum, 0, lies at (0.3, 0.7)."""
+    return -((cfg.values[0] - 0.3) ** 2) - (cfg.values[1] - 0.7) ** 2
+
+
+@functools.cache
+def adaptive_quadratic_search(seed):
+    """The default budget-200 search of `quadratic`, run once per seed and shared; do not append to it."""
+    return run(OptimizerConfig(budget=200, seed=seed), quadratic, SPACE_2D)
 
 
 @pytest.fixture

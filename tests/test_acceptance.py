@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import encoded
+from conftest import adaptive_quadratic_search, encoded, quadratic
 from tpe_as.baselines import run_baseline
 from tpe_as.harness import ExperimentConfig, run_experiment, run_name, summary_from_log, summary_stats
 from tpe_as.objective import importance_weight, lambda_schedule
@@ -91,37 +91,23 @@ def test_criterion_4_split_correctness():
     _verdict(4, "split correctness", ok)
 
 
-def test_criterion_5_mode_reduction():
-    space = ParamSpace(
-        (ParamDomain("x1", "continuous", 0.0, 1.0), ParamDomain("x2", "continuous", 0.0, 1.0))
-    )
-
-    def bb(cfg):
-        return -((cfg.values[0] - 0.3) ** 2) - (cfg.values[1] - 0.7) ** 2
-
+def test_criterion_5_mode_reduction(space_2d):
     opt = OptimizerConfig(budget=100, seed=7)
-    forced = run(opt, bb, space, schedule=lambda t, eta: 0.0)
-    conventional = run_baseline("tpe_conventional", opt, bb, space)
+    forced = run(opt, quadratic, space_2d, schedule=lambda t, eta: 0.0)
+    conventional = run_baseline("tpe_conventional", opt, quadratic, space_2d)
     ok = forced.trials == conventional.trials
     ok &= all(t.j_score == t.f_value and t.lambda_used == 0.0 for t in forced.trials)
     _verdict(5, "mode reduction", ok)
 
 
-def test_criterion_6_synthetic_competence():
-    space = ParamSpace(
-        (ParamDomain("x1", "continuous", 0.0, 1.0), ParamDomain("x2", "continuous", 0.0, 1.0))
-    )
-
-    def bb(cfg):
-        return -((cfg.values[0] - 0.3) ** 2) - (cfg.values[1] - 0.7) ** 2
-
+def test_criterion_6_synthetic_competence(space_2d):
     oracle_best = 0.0  # grid optimum of the noise-free quadratic
     near_optimum = 0
     beats_random = 0
     for seed in range(5):
+        tpe_best = summarize(adaptive_quadratic_search(seed).f_values)["max_f"]
         opt = OptimizerConfig(budget=200, seed=seed)
-        tpe_best = summarize(run(opt, bb, space).f_values)["max_f"]
-        rs_best = summarize(run_baseline("random_search", opt, bb, space).f_values)["max_f"]
+        rs_best = summarize(run_baseline("random_search", opt, quadratic, space_2d).f_values)["max_f"]
         near_optimum += abs(tpe_best - oracle_best) <= 0.02
         beats_random += tpe_best >= rs_best
     ok = near_optimum >= 4 and beats_random >= 4
@@ -152,7 +138,7 @@ def test_criterion_8_determinism_and_audit(tmp_path):
         "method": "tpe_as",
         "strategy": "mean_reversion",
         "scenario": "range_bound_short",
-        "optimizer": {"budget": 60, "n_init": 15},
+        "optimizer": {"budget": 60},
         "seeds": [0, 1],
     }
     cfg_a = ExperimentConfig.from_json(json.dumps(dict(doc, output_dir=str(tmp_path / "a"))))

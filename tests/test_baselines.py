@@ -3,24 +3,14 @@ import statistics
 import numpy as np
 import pytest
 
+from conftest import quadratic
 from tpe_as.baselines import run_baseline
 from tpe_as.optimizer import OptimizerConfig, summarize
-from tpe_as.space import ParamDomain, ParamSpace, sample_uniform, uniform_density
-
-
-@pytest.fixture
-def space_2d():
-    return ParamSpace(
-        (ParamDomain("x1", "continuous", 0.0, 1.0), ParamDomain("x2", "continuous", 0.0, 1.0))
-    )
-
-
-def quadratic(cfg):
-    return -((cfg.values[0] - 0.3) ** 2) - (cfg.values[1] - 0.7) ** 2
+from tpe_as.space import sample_uniform, uniform_density
 
 
 def test_random_search_shape(space_2d):
-    opt = OptimizerConfig(budget=50, n_init=10, seed=0)
+    opt = OptimizerConfig(budget=50, seed=0)
     history = run_baseline("random_search", opt, quadratic, space_2d)
     assert len(history) == 50
     assert all(t.lambda_used == 0.0 for t in history.trials)
@@ -38,13 +28,13 @@ def test_random_search_shape(space_2d):
 
 def test_unknown_kind_rejected(space_2d):
     with pytest.raises(ValueError):
-        run_baseline("simulated_annealing", OptimizerConfig(budget=10, n_init=5, seed=0), quadratic, space_2d)
+        run_baseline("simulated_annealing", OptimizerConfig(budget=30, seed=0), quadratic, space_2d)
 
 
 def test_tpe_beats_random_on_quadratic(space_2d):
     tpe_best, rs_best = [], []
     for seed in range(5):
-        opt = OptimizerConfig(budget=100, n_init=20, seed=seed)
+        opt = OptimizerConfig(budget=100, seed=seed)
         tpe_best.append(summarize(run_baseline("tpe_conventional", opt, quadratic, space_2d).f_values)["max_f"])
         rs_best.append(summarize(run_baseline("random_search", opt, quadratic, space_2d).f_values)["max_f"])
     assert statistics.median(tpe_best) >= statistics.median(rs_best)

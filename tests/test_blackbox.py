@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 import tpe_as.blackbox as bb
 from tpe_as import cli
 from tpe_as.blackbox import (
+    N_GROUPS,
     SCENARIOS,
     STRATEGIES,
     BlackboxError,
@@ -49,10 +50,10 @@ def flat_params(kind, **overrides):
     return Config(tuple(values))
 
 
-def sized_params(kind, sizing=1.0, **overrides):
-    merged = {f"sizing_{g}": sizing for g in range(kind.n_groups)}
-    merged.update(overrides)
-    return flat_params(kind, **merged)
+def sized_params(kind, sizing=1.0, **group_values):
+    """Every group alike: sizing_g = sizing, and name_g = value for each name=value."""
+    alike = dict(group_values, sizing=sizing)
+    return flat_params(kind, **{f"{name}_{g}": value for g in range(N_GROUPS) for name, value in alike.items()})
 
 
 class TestGenerateScenario:
@@ -143,12 +144,12 @@ class TestRunStrategy:
         assert not np.allclose(base[t_perturb - 1 :], after[t_perturb - 1 :])
 
     def test_trend_following_hand_oracle(self):
-        # strictly rising zero-vol path, fast=2 slow=10: the slow MA first
-        # exists on price day 9, so the position earns from portfolio day 9,
-        # paying the turnover cost once on entry and never again
-        kind = strategy_preset("trend_following", n_groups=1)
-        prices = PriceSeries(100.0 * np.exp(0.30 * np.arange(252) / 252)[None, :])
-        params = sized_params(kind, sizing=1.0, fast_0=2, slow_0=10, stop_0=0.30, mode_0="long_only")
+        # strictly rising zero-vol path on every asset, fast=2 slow=10 in every
+        # group: the slow MA first exists on price day 9, so the position earns
+        # from portfolio day 9, paying the turnover cost once on entry and never again
+        kind = strategy_preset("trend_following")
+        prices = PriceSeries(np.tile(100.0 * np.exp(0.30 * np.arange(252) / 252), (N_GROUPS, 1)))
+        params = sized_params(kind, sizing=1.0, fast=2, slow=10, stop=0.30, mode="long_only")
         returns = run_strategy(kind, params, prices)
         asset = prices.returns[0]
         assert np.allclose(returns[:9], 0.0)  # no slow MA yet
@@ -166,9 +167,9 @@ class TestRunStrategy:
         assert with_cost < without_cost
 
     def test_short_lookback_prefix_is_flat(self):
-        kind = strategy_preset("mean_reversion", n_groups=1)
+        kind = strategy_preset("mean_reversion")
         prices = generate_scenario(scenario_preset("high_volatility", seed=0))
-        params = sized_params(kind, sizing=1.0, lookback_0=60)
+        params = sized_params(kind, sizing=1.0, lookback=60)
         returns = run_strategy(kind, params, prices)
         assert np.allclose(returns[:59], 0.0)
 
@@ -309,10 +310,10 @@ def reference_generate_scenario(n_assets, n_days, seed, regimes, switch_rate, me
     return 100.0 * np.exp(log_p)
 
 
-def reference_strategy_preset(name: str, n_groups: int = 5) -> StrategyKind:
+def reference_strategy_preset(name: str) -> StrategyKind:
     """Build a strategy family with per-group replicated hyperparameters."""
     domains = []
-    for g in range(n_groups):
+    for g in range(N_GROUPS):
         if name == "trend_following":
             domains += [
                 ParamDomain(f"fast_{g}", "integer", 2, 30),
@@ -340,7 +341,7 @@ def reference_strategy_preset(name: str, n_groups: int = 5) -> StrategyKind:
             ]
         else:
             raise BlackboxError(f"unknown strategy {name!r}")
-    return StrategyKind(name=name, param_space=ParamSpace(tuple(domains)), n_groups=n_groups)
+    return StrategyKind(name=name, param_space=ParamSpace(tuple(domains)))
 
 
 class TestPresetTablesMatchReference:
@@ -348,10 +349,9 @@ class TestPresetTablesMatchReference:
         assert list(SCENARIOS) == list(SCENARIO_HORIZONS)
         assert list(STRATEGIES) == ["trend_following", "mean_reversion", "threshold_hybrid"]
 
-    @pytest.mark.parametrize("n_groups", range(1, 6))
     @pytest.mark.parametrize("name", STRATEGIES)
-    def test_strategy(self, name, n_groups):
-        new, old = strategy_preset(name, n_groups), reference_strategy_preset(name, n_groups)
+    def test_strategy(self, name):
+        new, old = strategy_preset(name), reference_strategy_preset(name)
         assert new == old
         # 2 == 2.0, so equality alone would hide an int -> float bound
         assert [(type(d.lo), type(d.hi)) for d in new.param_space.domains] == [
@@ -415,9 +415,9 @@ def reference_raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray
     """Desired position per asset per day, decided from data through that day."""
     n_assets, n_days = prices.shape
     pos = np.zeros((n_assets, n_days))
-    groups = np.arange(n_assets) % kind.n_groups
+    groups = np.arange(n_assets) % N_GROUPS
 
-    for g in range(kind.n_groups):
+    for g in range(N_GROUPS):
         mask = groups == g
         p = prices[mask]
         if kind.name == "trend_following":
@@ -467,16 +467,14 @@ def reference_raw_positions(kind: StrategyKind, params: dict, prices: np.ndarray
     return pos
 
 
-def reference_stop_loss(
-    kind: StrategyKind, params: dict, prices: np.ndarray, raw_pos: np.ndarray
-) -> np.ndarray:
+def reference_stop_loss(params: dict, prices: np.ndarray, raw_pos: np.ndarray) -> np.ndarray:
     """Force positions flat after an adverse move beyond the stop level.
 
     A stop stays engaged until the raw signal changes sign; entry prices are
     tracked at sign changes.  All decisions use prices through the current day.
     """
     n_assets, n_days = prices.shape
-    groups = np.arange(n_assets) % kind.n_groups
+    groups = np.arange(n_assets) % N_GROUPS
     stops = np.array([params[f"stop_{groups[a]}"] for a in range(n_assets)])
 
     pos = raw_pos.copy()
@@ -521,18 +519,18 @@ def assert_matches_reference(kind, params, prices):
     pdict = params.as_dict(kind.param_space)
     with np.errstate(all="ignore"):
         old_raw = reference_raw_positions(kind, pdict, prices)
-        old_pos = reference_stop_loss(kind, pdict, prices, old_raw)
+        old_pos = reference_stop_loss(pdict, prices, old_raw)
     series = PriceSeries(prices)
     raw = warning_free(_raw_positions, kind, pdict, series)
     assert_same_bits(raw, old_raw)
-    assert_same_bits(warning_free(_apply_stop_loss, kind, pdict, prices, raw), old_pos)
+    assert_same_bits(warning_free(_apply_stop_loss, pdict, prices, raw), old_pos)
     with np.errstate(all="ignore"):  # PriceSeries.returns divides by zero prices
         returns = run_strategy(kind, params, series)
-        # the oracle's positions, whatever run_strategy hands the rules: a rule fed the wrong input differs
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bb, "_raw_positions", lambda *args: old_raw)
-            mp.setattr(bb, "_apply_stop_loss", lambda *args: old_pos)
-            expect = run_strategy(kind, params, series)
+        # the returns rule on the oracle's stopped positions: the position held
+        # into day t + 1 earns its return, less the cost of turnover from flat
+        held = old_pos[:, :-1]
+        turnover = np.abs(np.diff(held, axis=1, prepend=0.0)).mean(axis=0)
+        expect = (held * series.returns).mean(axis=0) - bb.TRANSACTION_COST * turnover
     assert_same_bits(returns, expect)
 
 
@@ -556,7 +554,7 @@ class TestWholeArrayRulesMatchReference:
     def test_short_markets_with_zero_and_negative_prices(self, name, seed, n_days, broken):
         # n_days up to 130 spans every lookback (the longest is slow_g <= 120)
         rng = np.random.default_rng(seed)
-        kind = strategy_preset(name, n_groups=int(rng.integers(1, 6)))
+        kind = strategy_preset(name)
         params = sample_uniform(kind.param_space, rng)
         prices = market("high_volatility")[: int(rng.integers(1, 9)), :n_days].copy()
         hit = rng.random(prices.shape) < broken
@@ -566,18 +564,16 @@ class TestWholeArrayRulesMatchReference:
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
     def test_stop_loss_on_signed_zeros_flips_and_bad_prices(self, data):
-        n_groups = data.draw(st.integers(1, 4))
         shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(0, 40)))
         raw = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])))
         prices = data.draw(arrays(float, shape, elements=st.one_of(
             st.sampled_from([0.0, -0.0, -3.0, 90.0, 100.0, 110.0]),
             st.floats(-200.0, 200.0),
         )))
-        params = {f"stop_{g}": data.draw(st.floats(0.0, 0.5)) for g in range(n_groups)}
-        kind = strategy_preset("threshold_hybrid", n_groups=n_groups)
+        params = {f"stop_{g}": data.draw(st.floats(0.0, 0.5)) for g in range(N_GROUPS)}
         with np.errstate(all="ignore"):
-            expect = reference_stop_loss(kind, params, prices, raw)
-        assert_same_bits(warning_free(_apply_stop_loss, kind, params, prices, raw), expect)
+            expect = reference_stop_loss(params, prices, raw)
+        assert_same_bits(warning_free(_apply_stop_loss, params, prices, raw), expect)
 
 
 class TestSearchOnAnUsedMarket:

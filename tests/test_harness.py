@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import math
 import multiprocessing
 import os
 import re
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tpe_as import cli, harness
-from tpe_as.blackbox import BlackboxError, strategy_preset
+from tpe_as.blackbox import STRATEGIES, BlackboxError, strategy_preset
 from tpe_as.harness import (
     ExperimentConfig,
     HarnessError,
@@ -25,8 +24,8 @@ from tpe_as.harness import (
     run_name,
     summary_from_log,
 )
-from tpe_as.optimizer import OptimizerConfig, run, summarize
-from tpe_as.space import SpaceError, sample_uniform
+from tpe_as.optimizer import EPSILON, K, N_CANDIDATES, N_INIT, WINDOW, OptimizerConfig, run
+from tpe_as.space import ParamSpace, SpaceError
 from tpe_as.surrogate import SurrogateError
 
 import numpy as np
@@ -36,26 +35,27 @@ BASE_DOC = {
     "method": "tpe_as",
     "strategy": "trend_following",
     "scenario": "stable_bull",
-    "optimizer": {"budget": 30, "n_init": 10},
+    "optimizer": {"budget": 30},
     "seeds": [0, 1],
 }
 
 # bytes that are not UTF-8: 0xff can start no UTF-8 sequence
 UNDECODABLE = bytes(np.random.default_rng(0).integers(0, 256, 64, dtype=np.uint8)) + b"\xff"
 
+REMOVED_OPTIMIZER_KEYS = {"k": K, "epsilon": EPSILON, "window": WINDOW, "n_init": N_INIT, "n_candidates": N_CANDIDATES}
 MALFORMED_CONFIGS = {
     "not-json": "{",
     "not-an-object": "[]",
     "unknown-optimizer-key": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "warmup": 5})),
+    # the method's settings are constants, so a config that sets one, even to its value, is refused
+    **{
+        f"removed-{key}": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, key: value}))
+        for key, value in REMOVED_OPTIMIZER_KEYS.items()
+    },
     "ill-typed-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": "30"})),
     "fractional-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 30.5})),
-    "fractional-window": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "window": 5.5})),
-    "epsilon-nan": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "epsilon": math.nan})),
-    "epsilon-infinity": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "epsilon": math.inf})),
     "output-dir-not-a-string": json.dumps(dict(BASE_DOC, output_dir=5)),
-    "n_init-not-below-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 5, "n_init": 10})),
-    "n_init-2": json.dumps(dict(BASE_DOC, optimizer={"budget": 10, "n_init": 2})),
-    "k-0.95-n_init-19": json.dumps(dict(BASE_DOC, optimizer={"budget": 30, "n_init": 19, "k": 0.95})),
+    "n_init-not-below-budget": json.dumps(dict(BASE_DOC, optimizer={"budget": 20})),
     "seeds-not-a-list": json.dumps(dict(BASE_DOC, seeds=3)),
     "unknown-strategy": json.dumps(dict(BASE_DOC, strategy="momentum_carry")),
     **{
@@ -63,6 +63,11 @@ MALFORMED_CONFIGS = {
         for key in ("method", "strategy", "scenario", "seeds")
     },
 }
+
+
+def summary_csv(*rows):
+    """A summary CSV's text: the header, then each row's fields."""
+    return "\n".join(",".join(map(str, row)) for row in (harness.SUMMARY_HEADER, *rows)) + "\n"
 
 
 # a stub monkeypatched into the harness reaches pool workers only by fork
@@ -128,7 +133,8 @@ class TestConfigParsing:
         [
             (["run", "input"], MALFORMED_CONFIGS["ill-typed-budget"]),
             (["run", "input"], MALFORMED_CONFIGS["fractional-budget"]),
-            (["run", "input"], MALFORMED_CONFIGS["n_init-2"]),
+            (["run", "input"], MALFORMED_CONFIGS["unknown-optimizer-key"]),
+            *((["run", "input"], MALFORMED_CONFIGS[f"removed-{key}"]) for key in REMOVED_OPTIMIZER_KEYS),
             (["report", "input"], json.dumps(BASE_DOC)),
             (["run", "input"], None),
             (["run", "--parallelism", "0", "input"], json.dumps(BASE_DOC)),
@@ -136,12 +142,17 @@ class TestConfigParsing:
             (["run", "input"], UNDECODABLE),
             (["report", "input"], UNDECODABLE),
             (["run", "input"], b"\xff\xfe" + json.dumps(BASE_DOC).encode()),
-            (["report", "input"], ",".join(harness.SUMMARY_HEADER) + "\ntpe_as,trend_following,stable_bull,0,ok\n"),
+            (["report", "input"], summary_csv(["tpe_as", "trend_following", "stable_bull", 0, "ok"])),
+            # no run summarizes to these; each would print as nan or inf and could be flagged best
+            (["report", "input"], summary_csv(["tpe_as", "trend_following", "stable_bull", 0, "ok", "nan", 0.5, 0.01])),
+            (["report", "input"], summary_csv(["tpe_as", "trend_following", "stable_bull", 0, "ok", 1.5, "inf", 0.01])),
+            (["report", "input"], summary_csv(["tpe_as", "trend_following", "stable_bull", 0, "ok", 1.5, -0.5, 0.01])),
         ],
         ids=[
             "run-malformed",
             "run-fractional-budget",
-            "run-n_init-2",
+            "run-unknown-optimizer-key",
+            *(f"run-removed-{key}" for key in REMOVED_OPTIMIZER_KEYS),
             "report-malformed",
             "run-missing-file",
             "run-parallelism-0",
@@ -150,6 +161,9 @@ class TestConfigParsing:
             "report-undecodable",
             "run-undecodable-prefix",
             "report-short-row",
+            "report-nan-max",
+            "report-infinite-variance",
+            "report-negative-variance",
         ],
     )
     def test_cli_reports_bad_input_in_one_line(self, tmp_path, monkeypatch, capsys, argv, text):
@@ -167,6 +181,8 @@ class TestConfigParsing:
         assert "Traceback" not in err
         if isinstance(text, bytes):  # a decode error does not name the file by itself
             assert err.splitlines()[-1].startswith("tpe-as: error: input: ")
+        elif argv[0] == "report":  # a bad summary names its line
+            assert re.match(r"tpe-as: error: input:\d+: ", err.splitlines()[-1])
 
 
 class TestTrialLogs:
@@ -174,7 +190,7 @@ class TestTrialLogs:
         def bb(cfg):
             return float(cfg.values[0]) + cfg.values[1]
 
-        history = run(OptimizerConfig(budget=25, n_init=8, seed=4), bb, mixed_space)
+        history = run(OptimizerConfig(budget=25, seed=4), bb, mixed_space)
         text = history_to_jsonl(history, mixed_space)
         back = history_from_jsonl(text, mixed_space)
         assert back.trials == history.trials
@@ -192,7 +208,7 @@ class TestTrialLogs:
     def test_out_of_domain_line_rejected(self, strategy, name, value, kind):
         # History.append, which encodes the config, is the check a log passes
         space = strategy_preset(strategy).param_space
-        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, space)
+        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, space)
         lines = history_to_jsonl(history, space).splitlines()
         doc = json.loads(lines[2])
         doc["config"][name] = value
@@ -203,15 +219,16 @@ class TestTrialLogs:
     def test_unknown_keys_rejected(self):
         # a 6-group threshold_hybrid log under the 5-group space names the keys
         # of the sixth group, rather than dropping them
-        six, five = (strategy_preset("threshold_hybrid", n_groups=g).param_space for g in (6, 5))
-        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, six)
+        five = strategy_preset("threshold_hybrid").param_space
+        six = ParamSpace(five.domains + tuple(dataclasses.replace(d, name=f"{d.name}_5") for d in STRATEGIES["threshold_hybrid"]))
+        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, six)
         with pytest.raises(SpaceError, match="^unknown keys for this space: 'mom_lb_5', 'mom_th_5', 'rsi_band_5', 'rsi_lb_5', 'sizing_5', 'stop_5'$"):
             history_from_jsonl(history_to_jsonl(history, six), five)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_nonfinite_density_line_rejected(self, mixed_space, literal):
         # json.loads reads NaN and Infinity, so a log can carry them
-        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
         lines[2] = re.sub(r'"proposal_density":[^,]*', f'"proposal_density":{literal}', lines[2])
         assert f'"proposal_density":{literal},' in lines[2]
@@ -221,7 +238,7 @@ class TestTrialLogs:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true", '"0.5"'])
     @pytest.mark.parametrize("key, field", [("f", "f_value"), ("j_score", "j_score")])
     def test_nonfinite_score_line_rejected(self, mixed_space, key, field, literal):
-        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
         lines[2] = re.sub(rf'"{key}":[^,]*', f'"{key}":{literal}', lines[2])
         assert f'"{key}":{literal},' in lines[2]
@@ -240,7 +257,7 @@ class TestTrialLogs:
     )
     def test_ill_typed_step_or_flags_line_rejected(self, mixed_space, line, key, value, message):
         # each would load as a record that history_to_jsonl writes back differently
-        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
         lines[line] = json.dumps(json.loads(lines[line]) | {key: value})
         with pytest.raises(SurrogateError, match=f"^{message}$"):
@@ -257,14 +274,14 @@ class TestTrialLogs:
         ids=["not-json", "not-an-object", "no-lambda", "config-not-an-object"],
     )
     def test_bad_line_named(self, mixed_space, edit):
-        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
         lines[2] = edit(lines[2])
         with pytest.raises(HarnessError, match="^line 3: not a trial line: "):
             history_from_jsonl("\n".join(lines), mixed_space)
 
     def test_skipped_step_rejected(self, mixed_space):
-        history = run(OptimizerConfig(budget=5, n_init=4, seed=0), lambda cfg: 0.0, mixed_space)
+        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
         lines = history_to_jsonl(history, mixed_space).splitlines()
         with pytest.raises(SurrogateError, match="^expected step 3, got 4$"):
             history_from_jsonl("\n".join(lines[:2] + lines[3:]), mixed_space)
@@ -273,9 +290,9 @@ class TestTrialLogs:
         def bb(cfg):
             return float(cfg.values[0])
 
-        history = run(OptimizerConfig(budget=10, n_init=5, seed=0), bb, mixed_space)
+        history = run(OptimizerConfig(budget=21, seed=0), bb, mixed_space)
         lines = history_to_jsonl(history, mixed_space).strip().splitlines()
-        assert len(lines) == 10
+        assert len(lines) == 21
         for line in lines:
             doc = json.loads(line)
             assert set(doc) == {
@@ -286,7 +303,7 @@ class TestTrialLogs:
 class TestRunExperiment:
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_method_decides_lambda(self, tmp_path, method):
-        opt = OptimizerConfig(budget=6, n_init=4)
+        opt = OptimizerConfig(budget=21)
         cfg = ExperimentConfig(method, "threshold_hybrid", "high_volatility", opt, (0,), str(tmp_path))
         assert run_experiment(cfg) == 0
         log = tmp_path / f"trials_{run_name(cfg, 0)}.jsonl"
@@ -337,7 +354,7 @@ class TestRunExperiment:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        cfg = make_config(tmp_path, optimizer={"budget": 12, "n_init": 10}, seeds=[0, 1, 2])
+        cfg = make_config(tmp_path, optimizer={"budget": 21}, seeds=[0, 1, 2])
         assert run_experiment(cfg, parallelism=parallelism) == 0
         assert started == [workers]
         assert len(list((tmp_path / "out").glob("trials_*.jsonl"))) == 3
@@ -478,6 +495,14 @@ class TestReport:
         with pytest.raises(HarnessError):
             report(bad)
 
+    @pytest.mark.parametrize("max_f, variance_f", [("nan", 0.5), ("inf", 0.5), ("-inf", 0.5), (1.5, "nan"), (1.5, "inf"), (1.5, -0.5)])
+    def test_report_rejects_a_row_no_run_summarizes_to(self, tmp_path, max_f, variance_f):
+        path = tmp_path / "summary.csv"  # the bad row follows a good one, and the error names its line
+        group = ["tpe_as", "trend_following", "stable_bull"]
+        path.write_text(summary_csv([*group, 0, "ok", 1.5, 0.5, 0.01], [*group, 1, "ok", max_f, variance_f, 0.01]))
+        with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}:3: not a run's summary: "):
+            report(path)
+
 
 # runs each argv of the JSON list in sys.argv[1] through cli.main, then prints
 # whether scipy.special was imported
@@ -514,7 +539,7 @@ class TestFreshProcess:
         )
 
     def test_tpe_run_loads_scipy_special_and_logs_as_in_process(self, tmp_path):
-        doc = dict(BASE_DOC, method="tpe_conventional", optimizer={"budget": 15, "n_init": 10}, seeds=[0])
+        doc = dict(BASE_DOC, method="tpe_conventional", optimizer={"budget": 25}, seeds=[0])
         for name in ("fresh", "here"):
             (tmp_path / f"{name}.json").write_text(json.dumps(dict(doc, output_dir=str(tmp_path / name))))
         assert fresh_cli_imports_scipy_special(["run", str(tmp_path / "fresh.json")])
@@ -524,6 +549,6 @@ class TestFreshProcess:
 
     def test_pooled_tpe_run_loads_scipy_special_before_forking(self, tmp_path):
         # the pool's workers then share the import, and no cell's timer includes it
-        doc = dict(BASE_DOC, method="tpe_conventional", optimizer={"budget": 15, "n_init": 10}, seeds=[0])
+        doc = dict(BASE_DOC, method="tpe_conventional", optimizer={"budget": 25}, seeds=[0])
         (tmp_path / "run.json").write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
         assert fresh_cli_imports_scipy_special(["run", "--parallelism", "2", str(tmp_path / "run.json")])

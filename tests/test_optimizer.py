@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_space
+from conftest import adaptive_quadratic_search, quadratic, random_space
 from tpe_as import objective, optimizer
 from tpe_as.baselines import BASELINE_KINDS, run_baseline
+from tpe_as.objective import MAX_EPSILON
 from tpe_as.optimizer import (
+    EPSILON,
     FAILURE_FLAG,
+    K,
     MAX_ABS_F,
-    MAX_EPSILON,
+    N_CANDIDATES,
+    N_INIT,
+    WINDOW,
     NONFINITE_FLAG,
     OptimizerConfig,
     OptimizerError,
@@ -22,17 +27,6 @@ from tpe_as.optimizer import (
 )
 from tpe_as.space import Config, ParamDomain, ParamSpace, SpaceError
 from tpe_as.surrogate import History
-
-
-@pytest.fixture
-def space_2d():
-    return ParamSpace(
-        (ParamDomain("x1", "continuous", 0.0, 1.0), ParamDomain("x2", "continuous", 0.0, 1.0))
-    )
-
-
-def quadratic(cfg):
-    return -((cfg.values[0] - 0.3) ** 2) - (cfg.values[1] - 0.7) ** 2
 
 
 MIXED_SPACE = ParamSpace((
@@ -64,12 +58,12 @@ def objective_steps(monkeypatch):
 
 class TestRun:
     def test_budget_exactness(self, space_2d):
-        opt = OptimizerConfig(budget=30, n_init=10, seed=0)
+        opt = OptimizerConfig(budget=30, seed=0)
         assert len(run(opt, quadratic, space_2d)) == 30
 
     def test_warmup_count(self, space_2d):
-        # eta=25, n_init=20 -> exactly 5 guided proposals
-        opt = OptimizerConfig(budget=25, n_init=20, seed=2)
+        # eta=25 after N_INIT=20 warm-up draws -> exactly 5 guided proposals
+        opt = OptimizerConfig(budget=25, seed=2)
         history = run(opt, quadratic, space_2d)
         warm_density = history.trials[0].proposal_density
         warm = [t for t in history.trials if t.proposal_density == warm_density]
@@ -86,18 +80,18 @@ class TestRun:
 
         def flaky(cfg):
             calls.append(cfg)
-            if len(calls) == 15:
+            if len(calls) == 25:
                 raise RuntimeError("model blew up")
             return quadratic(cfg)
 
-        opt = OptimizerConfig(budget=30, n_init=10, seed=4)
+        opt = OptimizerConfig(budget=30, seed=4)
         history = runner(opt, flaky, space_2d)
         assert len(history) == 30
-        failed = history.trials[14]
+        failed = history.trials[24]
         assert failed.f_value == 0.0
         assert FAILURE_FLAG in failed.flags
         clean = runner(opt, quadratic, space_2d)
-        assert history.trials[:14] == clean.trials[:14]
+        assert history.trials[:24] == clean.trials[:24]
 
     def test_out_of_domain_proposal_stops_run(self, space_2d):
         # the lenient blackbox would score the stray point and the log would
@@ -111,10 +105,10 @@ class TestRun:
             scored.append(cfg)
             return quadratic(cfg)
 
-        opt = OptimizerConfig(budget=25, n_init=10, seed=0)
+        opt = OptimizerConfig(budget=25, seed=0)
         with pytest.raises(SpaceError, match=r"^x1: value -999\.0 outside continuous domain$"):
             run(opt, lenient, space_2d, propose=stray)
-        assert len(scored) == 10  # the warm-up only
+        assert len(scored) == N_INIT  # the warm-up only
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -137,7 +131,7 @@ class TestRun:
                 return float(outcome)
             return sum(float(v) for v in cfg.values if not isinstance(v, str))
 
-        opt = OptimizerConfig(budget=30, n_init=8, n_candidates=8, window=6, seed=seed)
+        opt = OptimizerConfig(budget=30, seed=seed)
         history = runner(opt, bad_blackbox, random_space(np.random.default_rng(seed)))
         assert len(history) == 30
         for t, outcome in zip(history.trials, outcomes):
@@ -146,20 +140,19 @@ class TestRun:
             assert (NONFINITE_FLAG in t.flags) == (outcome not in ("ok", "raise"))
 
     def test_widest_epsilon_keeps_j_finite_at_the_largest_f(self, space_2d, monkeypatch):
-        # every density ratio beyond the clip, so each weight is 1 + MAX_EPSILON, on
-        # f values of +-MAX_ABS_F: the windowed variance stays finite, so every trial records
-        monkeypatch.setattr(objective, "importance_weight", lambda g, q, epsilon: 1.0 + epsilon)
-        opt = OptimizerConfig(budget=40, n_init=10, epsilon=MAX_EPSILON, seed=0)
+        # each weight at importance_weight's widest, 1 + MAX_EPSILON, on f values
+        # of +-MAX_ABS_F: the windowed variance stays finite, so every trial records
+        monkeypatch.setattr(objective, "importance_weight", lambda g, q, epsilon: 1.0 + MAX_EPSILON)
+        opt = OptimizerConfig(budget=40, seed=0)
         signs = itertools.cycle([1.0, -1.0])
         history = run(opt, lambda cfg: next(signs) * MAX_ABS_F, space_2d)
         assert len(history) == 40
         assert all(math.isfinite(t.j_score) for t in history.trials)
 
-    def test_adaptive_localizes_quadratic_optimum(self, space_2d):
-        # best config within L-inf 0.15 of the true optimum on every seed
+    def test_adaptive_localizes_quadratic_optimum(self):
+        # best config within L-inf 0.15 of the true optimum on every seed of criterion 6's searches
         for seed in range(5):
-            opt = OptimizerConfig(budget=200, seed=seed)
-            history = run(opt, quadratic, space_2d)
+            history = adaptive_quadratic_search(seed)
             best = history.trials[int(np.argmax(history.f_values))].config
             assert abs(best.values[0] - 0.3) <= 0.15
             assert abs(best.values[1] - 0.7) <= 0.15
@@ -170,7 +163,7 @@ class TestRun:
         # with lambda at 0 the search sees f only through its ranks, so a
         # strictly increasing map of f proposes the same configs with the
         # same densities; the adaptive schedule's penalty weighs f itself (below)
-        opt = OptimizerConfig(budget=60, n_init=10, n_candidates=16, seed=seed)
+        opt = OptimizerConfig(budget=60, seed=seed)
         conventional = functools.partial(run_baseline, "tpe_conventional", opt)
         expect = [(t.config, t.proposal_density) for t in conventional(mixed_f, MIXED_SPACE).trials]
         for increasing in (lambda v: 2 * v, lambda v: v + 1, math.exp):
@@ -185,8 +178,8 @@ class TestRun:
     def test_adaptive_search_ignores_a_shift_of_f(self, seed):
         # a variance that does not depend on f's origin would make f and
         # f + 1 propose the same configs; today the searches part at steps
-        # 22, 14 and 17
-        opt = OptimizerConfig(budget=60, n_init=10, n_candidates=16, seed=seed)
+        # 26, 27 and 22
+        opt = OptimizerConfig(budget=60, seed=seed)
         expect = [t.config for t in run(opt, mixed_f, MIXED_SPACE).trials]
         shifted = run(opt, lambda cfg: mixed_f(cfg) + 1, MIXED_SPACE)
         assert [t.config for t in shifted.trials] == expect
@@ -198,50 +191,44 @@ class TestRun:
             calls.append((t, eta))
             return t / 100
 
-        history = run(OptimizerConfig(budget=30, n_init=10, seed=8), quadratic, space_2d, schedule=recording)
+        history = run(OptimizerConfig(budget=30, seed=8), quadratic, space_2d, schedule=recording)
         assert calls == [(t, 30) for t in range(1, 31)]
         assert [t.lambda_used for t in history.trials] == [t / 100 for t in range(1, 31)]
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_baselines_never_score_with_the_objective(self, space_2d, objective_steps, kind):
-        run_baseline(kind, OptimizerConfig(budget=30, n_init=10, seed=8), quadratic, space_2d)
+        run_baseline(kind, OptimizerConfig(budget=30, seed=8), quadratic, space_2d)
         assert objective_steps == {"build_g_model": [], "windowed_variance": []}
 
     def test_default_run_scores_with_the_objective_from_step_3(self, space_2d, objective_steps):
         # the cosine schedule is positive from t = 1; the variance needs two trials before t
-        run(OptimizerConfig(budget=30, n_init=10, seed=8), quadratic, space_2d)
+        run(OptimizerConfig(budget=30, seed=8), quadratic, space_2d)
         steps = list(range(3, 31))
         assert objective_steps == {"build_g_model": steps, "windowed_variance": steps}
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        k=st.floats(0, 1, exclude_min=True, exclude_max=True),
-        n_init=st.integers(-1, 30),
-    )
-    def test_every_accepted_warm_up_leaves_a_bad_trial(self, seed, k, n_init):
-        # a run fits a bad-group KDE at its first proposal, so an accepted
-        # (k, n_init) must leave that group non-empty
-        try:
-            opt = OptimizerConfig(budget=n_init + 3, k=k, n_init=n_init, n_candidates=4, seed=seed)
-        except OptimizerError:
-            assume(False)
-        rng = np.random.default_rng(seed)
-        space = random_space(rng)
-        history = run_baseline("tpe_conventional", opt, lambda cfg: float(rng.normal()), space)
-        assert len(history) == n_init + 3
+    @pytest.mark.parametrize("name", ["propose_next", "build_g_model", "windowed_variance"])
+    def test_run_passes_the_method_constants(self, space_2d, monkeypatch, name):
+        # after the history: (k, n_candidates, rng), (k,) and (g_model, current, epsilon, window)
+        args, expect = {"propose_next": (slice(0, 2), (K, N_CANDIDATES)), "build_g_model": (slice(0, 1), (K,)),
+                        "windowed_variance": (slice(2, 4), (EPSILON, WINDOW))}[name]
+        seen, original = set(), getattr(optimizer, name)
+        monkeypatch.setattr(optimizer, name, lambda history, *rest: seen.add(rest[args]) or original(history, *rest))
+        run(OptimizerConfig(budget=30, seed=8), quadratic, space_2d)
+        assert seen == {expect}
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(budget=10, n_init=10)
+    @pytest.mark.parametrize("budget", [-1, 0, 1, N_INIT])
+    def test_rejects_bad_config(self, budget):
+        with pytest.raises(OptimizerError, match=f"^budget must exceed the {N_INIT} warm-up draws, got {budget}$"):
+            OptimizerConfig(budget=budget)
 
     @pytest.mark.parametrize(
         "name, value",
         [
             ("budget", 30.0),
-            ("n_init", True),
-            ("window", 5.5),
-            ("n_candidates", 8.0),
+            ("budget", True),
+            # what a JSON config can hold in place of a count
+            ("budget", "30"),
+            ("budget", None),
             # seed True would run as seed 1; -1 and 1.5 failed only inside numpy
             ("seed", -1),
             ("seed", True),
@@ -251,13 +238,6 @@ class TestRun:
     def test_rejects_non_int_size(self, name, value):
         with pytest.raises(OptimizerError, match=f"^{name} must be an int"):
             OptimizerConfig(**{"budget": 30, name: value})
-
-    @pytest.mark.parametrize("value", [True, False, -0.1, math.inf, math.nan, MAX_EPSILON * 10])
-    def test_rejects_bad_epsilon(self, value):
-        # a bool is not a number: "epsilon": true would run with epsilon = 1;
-        # a wider clip than MAX_EPSILON could overflow the windowed variance
-        with pytest.raises(OptimizerError, match="^epsilon must be a finite number"):
-            OptimizerConfig(budget=30, epsilon=value)
 
 
 class TestSummarize:
