@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -185,40 +184,38 @@ def density(model: KdeModel, x: np.ndarray) -> np.ndarray:
 
 
 def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n encoded configs into an (n x m) block on the RNG stream of one config
-    at a time: `integers` picks a component, then each dimension in order takes
-    `normal` draws until one is in bounds, or one `random()` looked up after the
-    loop in a cumulative pmf, as `Generator.choice` does.  Draws are batched on
-    that stream: a run of adjacent continuous dims takes one `standard_normal(size)`,
-    used in order as `c + bw * z` (the bits of `normal(c, bw)`) before any scalar
-    retry draw, and a run of other dims one `random(size)`.  An integer dim's
-    uniform u is looked up in the model's prefix sums as base + u * Z(c), base
-    the sum just below c's lattice window, and capped where the window's sum
-    stops growing: in exact arithmetic the cdf rule, never a zero-weight value."""
-    domains, runs = model.space.domains, []
-    for cont, dims in groupby(range(model.space.m), lambda i: domains[i].kind == "continuous"):
-        dims = list(dims)
-        centers = np.array([model.centers[i] for i in dims]).T.tolist() if cont else None  # per component
-        runs.append((len(dims), centers, [(model.bandwidths.get(i), domains[i].lo, domains[i].hi) for i in dims]))
-    integers, standard_normal, random = rng.integers, rng.standard_normal, rng.random
-    comps, draws = [], []
-    for _ in range(n):
-        comp = integers(model.n_components)
-        comps.append(comp)
-        row = []
-        for size, centers, kernels in runs:
-            if centers is None:
-                row += random(size).tolist()
-                continue
-            z = standard_normal(size).tolist()[::-1]  # popped in draw order
-            for center, (bw, lo, hi) in zip(centers[comp], kernels):
-                while True:  # fit_kde's bw <= (hi - lo) / 2: each try lands w.p. >= 0.477
-                    x = center + bw * (z.pop() if z else standard_normal())
-                    if lo <= x <= hi:
-                        break
-                row.append(x)
-        draws.append(row)
-    out = np.array(draws, dtype=float).reshape(n, model.space.m)
+    """Draw n encoded configs into an (n x m) block from three RNG calls, in order:
+    `integers(n_components, size=n)` picks each draw's component, `random((n,
+    n_cont))` gives the continuous dims' uniforms and `random((n, n_other))` the
+    integer and categorical dims', each block's columns in domain order.  A
+    continuous uniform u inverts the component's normal truncated to [lo, hi]:
+    with a, b = (lo - c) / bw, (hi - c) / bw and M = 1 - Phi(a) - Phi(-b), the
+    draw takes the tail where its probability is at most 1/2, z = ndtri(Phi(a) +
+    u M) or z = -ndtri(Phi(-b) + (1 - u) M), and c + bw z is clipped into [lo,
+    hi].  A categorical uniform is looked up in the table's cumulative sums, as
+    `Generator.choice` does.  An integer uniform u is looked up in the model's
+    prefix sums as base + u * Z(c), base the sum just below c's lattice window,
+    and capped where the window's sum stops growing: in exact arithmetic the cdf
+    rule, never a zero-weight value."""
+    # imported here for the reason fit_kde imports erf
+    from scipy.special import ndtr, ndtri
+
+    domains = model.space.domains
+    cont = [i for i, d in enumerate(domains) if d.kind == "continuous"]
+    other = [i for i, d in enumerate(domains) if d.kind != "continuous"]
+    comps = rng.integers(model.n_components, size=n)
+    u = rng.random((n, len(cont)))
+    out = np.empty((n, model.space.m))
+    out[:, other] = rng.random((n, len(other)))
+    lo, hi = np.array([[domains[i].lo, domains[i].hi] for i in cont], dtype=float).reshape(-1, 2).T
+    bw = np.array([model.bandwidths[i] for i in cont])
+    c = np.array([model.centers[i] for i in cont]).reshape(len(cont), model.n_components)[:, comps].T
+    a, b = (lo - c) / bw, (hi - c) / bw
+    pa, qb = ndtr(a), ndtr(-b)
+    mass = 1.0 - pa - qb  # >= Phi(2) - Phi(0) ~ 0.477, as bw <= (hi - lo) / 2
+    p = pa + u * mass
+    z = np.where(p <= 0.5, ndtri(p), -ndtri(qb + (1.0 - u) * mass))
+    out[:, cont] = np.clip(c + bw * z, lo, hi)
     for i, table in model.categorical_tables.items():
         cdf = table.cumsum()
         out[:, i] = (cdf / cdf[-1]).searchsorted(out[:, i], side="right")

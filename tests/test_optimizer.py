@@ -118,7 +118,7 @@ class TestRun:
             min_size=30,
             max_size=30,
         ),
-        runner=st.sampled_from([run, functools.partial(run_baseline, "random_search")]),
+        runner=st.sampled_from([run, *(functools.partial(run_baseline, kind) for kind in BASELINE_KINDS)]),
     )
     def test_bad_blackbox_output_flagged(self, seed, outcomes, runner):
         pending = iter(outcomes)

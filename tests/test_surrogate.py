@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, ndtr, ndtri
+from scipy.stats import chisquare, kstest
 
 from conftest import encoded, random_space
 from tpe_as import cli, optimizer
@@ -28,7 +29,6 @@ from tpe_as.surrogate import (
     SQRT2,
     SQRT2PI,
     History,
-    KdeModel,
     SurrogateError,
     TrialRecord,
     density,
@@ -197,12 +197,13 @@ class TestFitKde:
         layout=st.sampled_from(["uniform", "on-bounds", "coincident"]),
     )
     def test_bandwidth_at_most_half_width(self, seed, strategy, n, layout):
-        # sample_from_kde redraws a continuous dim until it lands in bounds,
-        # with no cap on the tries: a kernel on a center in [lo, hi] whose
-        # bandwidth is at most (hi - lo) / 2 lands each draw in bounds with
-        # probability at least Phi(2) - Phi(0) ~ 0.477.  Scott's rule stays
-        # below the half-width, since no spread of values in [lo, hi] exceeds
-        # it, and the floor (hi - lo) / min(100, n + 1) reaches it at n = 1.
+        # sample_from_kde inverts each continuous kernel's truncated normal
+        # cdf: a kernel on a center in [lo, hi] whose bandwidth is at most
+        # (hi - lo) / 2 keeps the mass M = 1 - Phi(a) - Phi(-b) in bounds at
+        # least Phi(2) - Phi(0) ~ 0.477, so M is free of cancellation.  Scott's
+        # rule stays below the half-width, since no spread of values in
+        # [lo, hi] exceeds it, and the floor (hi - lo) / min(100, n + 1)
+        # reaches it at n = 1.
         rng = np.random.default_rng(seed)
         space = strategy_preset(strategy).param_space if strategy else random_space(rng, max_dims=30, max_width=111)
         members = [sample_uniform(space, rng) for _ in range(1 if layout == "coincident" else n)]
@@ -346,13 +347,13 @@ class TestProposeNext:
         good, bad = split_history(history, 0.15)
         good_model = fit_kde(history.rows[good], mixed_space)
         bad_model = fit_kde(history.rows[bad], mixed_space)
-        draws = np.random.default_rng(4)
-        candidates = [reference_sample_from_kde(good_model, draws) for _ in range(32)]
+        candidates = config_sample_from_kde(good_model, np.random.default_rng(4), 32)
         rows = encoded(mixed_space, candidates)
-        ratios = density(good_model, rows) / density(bad_model, rows)
+        g = density(good_model, rows)
+        best = int(np.argmax(g / density(bad_model, rows)))
         cfg, q = propose_next(history, 0.15, 32, np.random.default_rng(4))
-        assert repr(cfg) == repr(candidates[int(np.argmax(ratios))])
-        assert np.array_equal([q], density(good_model, encoded(mixed_space, [cfg])))
+        assert repr(cfg) == repr(candidates[best])
+        assert q == g[best]  # as scored in its batch: a lone row's last bits may differ
 
     def test_proposals_track_good_cluster(self, unit_space, rng):
         history = self.make_clustered_history(unit_space, rng, n=80)
@@ -364,9 +365,8 @@ class TestProposeNext:
         assert hits >= 90
 
 
-# The per-config validator and the rng.choice sampler that the fast path
-# replaced, kept verbatim as its oracles: trial logs depend on every draw and
-# every SpaceError message.
+# The per-config validator that the fast path replaced, kept verbatim as its
+# oracle: trial logs depend on every SpaceError message.
 
 
 def reference_require_valid(space: ParamSpace, config: Config) -> None:
@@ -404,31 +404,6 @@ def reference_lattice_pmf(d, bw, centers):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def reference_sample_from_kde(model: KdeModel, rng: np.random.Generator) -> Config:
-    """Draw one config: pick a component uniformly, then sample each kernel;
-    lattice pmfs come from bandwidths and centers."""
-    comp = int(rng.integers(model.n_components))
-    values = []
-    for i, d in enumerate(model.space.domains):
-        if d.kind == "continuous":
-            center = model.centers[i][comp]
-            bw = model.bandwidths[i]
-            for _ in range(1000):
-                x = rng.normal(center, bw)
-                if d.lo <= x <= d.hi:
-                    break
-            else:
-                x = min(max(center, d.lo), d.hi)
-            values.append(float(x))
-        elif d.kind == "integer":
-            pmf = reference_lattice_pmf(d, model.bandwidths[i], model.centers[i])[comp]
-            values.append(int(d.lo) + int(rng.choice(len(pmf), p=pmf)))
-        else:
-            table = model.categorical_tables[i]
-            values.append(d.choices[int(rng.choice(len(table), p=table))])
-    return Config(tuple(values))
-
-
 def reference_validate_batch(space, *configs):
     for config in configs:
         reference_require_valid(space, config)
@@ -438,6 +413,8 @@ def reference_validate_batch(space, *configs):
 # verbatim as the oracle of the whole loop and of every bit of every bandwidth;
 # only the names carry a `config_` prefix, and the batch validator and lattice
 # pmf they called are `reference_validate_batch` and `reference_lattice_pmf`.
+# The sampler is instead a per-config scalar reading of `sample_from_kde`'s
+# rule over the same three RNG blocks.
 
 
 def config_rank_top(history: History, k: float, score):
@@ -525,32 +502,43 @@ def config_density(model: ConfigKdeModel, configs) -> np.ndarray:
     return np.maximum(per_component.mean(axis=1) * categorical_factor, DENSITY_FLOOR)
 
 
-def config_sample_from_kde(model: ConfigKdeModel, rng: np.random.Generator, n: int) -> list:
-    """Draw n configs in turn: pick a component uniformly, then sample each kernel."""
-    cdfs = {}  # built as Generator.choice builds them: same index, same RNG state
-    for i, pmf in (*model.lattice_pmf.items(), *model.categorical_tables.items()):
-        cdfs[i] = pmf.cumsum(axis=-1)
-        cdfs[i] /= cdfs[i][..., -1:]
+def config_sample_from_kde(model, rng: np.random.Generator, n: int) -> list:
+    """Draw n configs, one at a time, from a KdeModel or a ConfigKdeModel: a
+    component index, then each dim from its uniform of the three RNG blocks.
+    A continuous dim inverts its truncated normal in the tail where the
+    probability is at most 1/2; an integer or categorical dim takes the index
+    of its uniform in a cdf built as Generator.choice builds it."""
+    domains = model.space.domains
+    cont = [i for i, d in enumerate(domains) if d.kind == "continuous"]
+    other = [i for i, d in enumerate(domains) if d.kind != "continuous"]
+    comps = rng.integers(model.n_components, size=n).tolist()
+    uniforms = np.column_stack([rng.random((n, len(cont))), rng.random((n, len(other)))]).tolist()
+    cdfs = {}
+    for i, d in enumerate(domains):
+        if d.kind != "continuous":
+            pmf = (
+                model.categorical_tables[i] if d.kind == "categorical"
+                else reference_lattice_pmf(d, model.bandwidths[i], model.centers[i])
+            )
+            cdfs[i] = pmf.cumsum(axis=-1)
+            cdfs[i] /= cdfs[i][..., -1:]
     draws = []
-    for _ in range(n):
-        comp = int(rng.integers(model.n_components))
-        values = []
-        for i, d in enumerate(model.space.domains):
+    for comp, row in zip(comps, uniforms):
+        values = dict(zip(cont + other, row))
+        for i, d in enumerate(domains):
+            u = values[i]
             if d.kind == "continuous":
-                center = model.centers[i][comp]
-                bw = model.bandwidths[i]
-                for _ in range(1000):
-                    x = rng.normal(center, bw)
-                    if d.lo <= x <= d.hi:
-                        break
-                else:
-                    x = min(max(center, d.lo), d.hi)
-                values.append(float(x))
+                center, bw = model.centers[i][comp], model.bandwidths[i]
+                pa, qb = ndtr((d.lo - center) / bw), ndtr(-((d.hi - center) / bw))
+                mass = 1.0 - pa - qb
+                p = pa + u * mass
+                z = ndtri(p) if p <= 0.5 else -ndtri(qb + (1.0 - u) * mass)
+                values[i] = float(min(max(center + bw * z, d.lo), d.hi))
             elif d.kind == "integer":
-                values.append(int(d.lo) + int(cdfs[i][comp].searchsorted(rng.random(), side="right")))
+                values[i] = int(d.lo) + int(cdfs[i][comp].searchsorted(u, side="right"))
             else:
-                values.append(d.choices[int(cdfs[i].searchsorted(rng.random(), side="right"))])
-        draws.append(Config(tuple(values)))
+                values[i] = d.choices[int(cdfs[i].searchsorted(u, side="right"))]
+        draws.append(Config(tuple(values[i] for i in range(len(domains)))))
     return draws
 
 
@@ -652,61 +640,119 @@ ODD_VALUES = {
 }
 
 
-class TestFastPathMatchesReference:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        strategy=st.sampled_from([None, *STRATEGIES]),
-        on_bounds=st.sampled_from([None, None, "consecutive", "alternating"]),
-    )
-    def test_draws_match_rng_choice(self, seed, strategy, on_bounds):
-        # members on the bounds reject about half of all normal draws, so a run
-        # of continuous dims spends its pre-drawn normals on retries and goes on
-        # with scalar draws
-        space, members = space_and_members(seed, strategy) if on_bounds is None else bound_members(seed, on_bounds)
-        model = fit_kde(encoded(space, members), space)
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+def mixture_cdf(model, i):
+    """The cdf of continuous dim i under the model: the mean over components of
+    each kernel's normal cdf, truncated to [lo, hi]."""
+    d, centers, bw = model.space.domains[i], model.centers[i], model.bandwidths[i]
+    lo, hi = ndtr((d.lo - centers) / bw), ndtr((d.hi - centers) / bw)
+    return lambda x: ((ndtr((np.asarray(x)[:, None] - centers) / bw) - lo) / (hi - lo)).mean(axis=1)
 
-        def draws(n):  # the reprs hold each value's type: an int is no float in a log
-            return repr([decode(space, row) for row in sample_from_kde(model, fast, n)])
 
-        assert draws(20) == repr([reference_sample_from_kde(model, slow) for _ in range(20)])
-        assert fast.bit_generator.state == slow.bit_generator.state
-        for _ in range(5):
-            assert draws(1) == repr([reference_sample_from_kde(model, slow)])
-            assert fast.bit_generator.state == slow.bit_generator.state
+def chisquare_pvalue(values, pmf):
+    """Chi-square p-value of integer values in 0..len(pmf)-1 against pmf; the
+    smallest bins are pooled until no bin expects fewer than 5 draws."""
+    observed, expected = np.bincount(values.astype(int), minlength=len(pmf)), pmf * len(values)
+    order = np.argsort(expected, kind="stable")
+    k = max(int(np.sum(expected < 5)), int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1)
+    pooled = [[a[order[:k]].sum(), *a[order[k:]]] for a in (observed, expected)]
+    return chisquare(*pooled).pvalue if len(pooled[0]) > 1 else 1.0
 
-    @pytest.mark.parametrize("u", [0.0, 1 - 2**-53])
-    @pytest.mark.parametrize("n_members", [1, 100])
-    def test_integer_draws_at_edge_uniforms(self, u, n_members):
-        # coincident members put every lattice at the bandwidth floor
-        # width / min(100, n + 1).  At 100 members slow_*'s kernel (bw 1.1)
-        # underflows to 0 about 43 values from its center, inside the 111-wide
-        # window; at 1 member (bw 55) base + u * Z(c) can round up past the
-        # window's last sum, so only the cap keeps the draw in the domain.
-        # Each draw is the Generator.choice cdf index and never a zero-weight
-        # value.  These two floors are the extremes; at some member counts in
-        # between, the two roundings put an edge uniform a value apart (README).
-        edge_rng = SimpleNamespace(  # component 0, zero normals, every uniform u
-            integers=lambda n: 0,
-            standard_normal=lambda size=None: 0.0 if size is None else np.zeros(size),
-            random=lambda size=None: u if size is None else np.full(size, u),
+
+DISTRIBUTION_ALPHA = 0.01  # family-wise over each test's dims, split evenly among them (Bonferroni)
+
+
+class TestSampleFromKde:
+    @pytest.mark.parametrize("layout", [None, "consecutive", "alternating"])
+    def test_draws_follow_the_mixture(self, layout):
+        # 3000 draws of each model on a fixed seed: each continuous dim is
+        # KS-tested against the mixture's truncated cdf, each integer dim is
+        # chi-square-tested against the mean of its components' lattice pmfs,
+        # each categorical dim against its table.  The models come from four
+        # random spaces and the three presets, or four spaces of members on
+        # the bounds
+        inputs = (
+            [space_and_members(seed, strategy) for seed, strategy in enumerate([None] * 4 + list(STRATEGIES))]
+            if layout is None else [bound_members(seed, layout) for seed in range(4)]
         )
+        pvalues = {}
+        for n, (space, members) in enumerate(inputs):
+            model = fit_kde(encoded(space, members), space)
+            draws = sample_from_kde(model, np.random.default_rng(n), 3000)
+            for i, d in enumerate(space.domains):
+                if d.kind == "continuous":
+                    pvalues[n, d.name] = kstest(draws[:, i], mixture_cdf(model, i)).pvalue
+                elif d.kind == "integer":
+                    pmf = reference_lattice_pmf(d, model.bandwidths[i], model.centers[i]).mean(axis=0)
+                    pvalues[n, d.name] = chisquare_pvalue(draws[:, i] - d.lo, pmf)
+                else:
+                    pvalues[n, d.name] = chisquare_pvalue(draws[:, i], model.categorical_tables[i])
+        worst = min(pvalues, key=pvalues.get)
+        assert pvalues[worst] > DISTRIBUTION_ALPHA / len(pvalues), (worst, pvalues[worst])
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_draws_take_three_rng_blocks(self, n):
+        # the declared stream: component indices, then the continuous dims'
+        # uniforms, then the other dims', each block's columns in domain order;
+        # the per-config oracle reads the same blocks draw by draw
+        for seed, (space, members) in enumerate([
+            space_and_members(0, None), space_and_members(1, "threshold_hybrid"),
+            space_and_members(2, "trend_following"), bound_members(3, "alternating"),
+        ]):
+            model = fit_kde(encoded(space, members), space)
+            rng, blocks, oracle = (np.random.default_rng(seed) for _ in range(3))
+            draws = [decode(space, row) for row in sample_from_kde(model, rng, n)]
+            n_cont = sum(d.kind == "continuous" for d in space.domains)
+            blocks.integers(model.n_components, size=n)
+            blocks.random((n, n_cont))
+            blocks.random((n, space.m - n_cont))
+            assert rng.bit_generator.state == blocks.bit_generator.state
+            assert repr(draws) == repr(config_sample_from_kde(model, oracle, n))  # the reprs hold each value's type
+
+    @pytest.mark.parametrize("n_members", [1, 100])
+    def test_draws_at_edge_uniforms(self, n_members):
+        # coincident members put every numeric dim at the bandwidth floor
+        # width / min(100, n + 1): at 1 member the half-width cap, at 100 the
+        # narrowest.  At 100 members slow_*'s kernel (bw 1.1) underflows to 0
+        # about 43 values from its center, inside the 111-wide window; at 1
+        # member (bw 55) base + u * Z(c) can round up past the window's last
+        # sum, so only the cap keeps the draw in the domain.  Each integer draw
+        # is the Generator.choice cdf index and never a zero-weight value.
+        # These two floors are the extremes; at some member counts in between,
+        # the two roundings put an edge uniform a value apart (README).  Each
+        # continuous dim's members sit on lo or on hi, where one tail's
+        # probability underflows to 0 at the floor; every draw is finite, in
+        # [lo, hi] and does not decrease as u grows.
+        edges = (0.0, 1 - 2**-53)
         space = strategy_preset("trend_following").param_space
         integer = [(i, d) for i, d in enumerate(space.domains) if d.kind == "integer"]
+        cont = [i for i, d in enumerate(space.domains) if d.kind == "continuous"]
+        lo, hi = (np.array([getattr(space.domains[i], bound) for i in cont]) for bound in ("lo", "hi"))
         base = list(sample_uniform(space, np.random.default_rng(0)).values)
         for v in range(10, 121):
             for i, d in integer:
                 base[i] = v if d.name.startswith("slow") else 2 + v % 29
+            for i in cont:
+                base[i] = (space.domains[i].lo, space.domains[i].hi)[(v + i) % 2]
             model = fit_kde(encoded(space, [Config(tuple(base))] * n_members), space)
-            (row,) = sample_from_kde(model, edge_rng, 1)
-            for i, d in integer:
-                pmf = reference_lattice_pmf(d, model.bandwidths[i], model.centers[i][:1])[0]
-                cdf = pmf.cumsum()
-                cdf /= cdf[-1]
-                assert row[i] == d.lo + cdf.searchsorted(u, side="right")
-                assert pmf[int(row[i] - d.lo)] > 0
+            rows = []
+            for u in edges:
+                edge_rng = SimpleNamespace(  # component 0, every uniform u
+                    integers=lambda n, size: np.zeros(size, dtype=int),
+                    random=lambda shape: np.full(shape, u),
+                )
+                (row,) = sample_from_kde(model, edge_rng, 1)
+                rows.append(row[cont])
+                for i, d in integer:
+                    pmf = reference_lattice_pmf(d, model.bandwidths[i], model.centers[i][:1])[0]
+                    cdf = pmf.cumsum()
+                    cdf /= cdf[-1]
+                    assert row[i] == d.lo + cdf.searchsorted(u, side="right")
+                    assert pmf[int(row[i] - d.lo)] > 0
+            assert np.all(np.isfinite(rows)) and np.all((lo <= rows) & (rows <= hi))
+            assert np.all(rows[0] <= rows[1])
 
+
+class TestFastPathMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from([None, *STRATEGIES]))
     def test_fit_matches_per_column_fit(self, seed, strategy):
