@@ -11,7 +11,7 @@ from .surrogate import History
 BASELINE_KINDS = ("tpe_conventional", "random_search")
 
 
-def propose_uniform(history, k, n_candidates, rng):
+def propose_uniform(history, rng):
     """A proposer that ignores the history but its space: one uniform draw."""
     return sample_uniform(history.space, rng), uniform_density(history.space)
 

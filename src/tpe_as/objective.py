@@ -9,6 +9,8 @@ import numpy as np
 from .space import encode
 from .surrogate import History, KdeModel, density, fit_kde, rank_top
 
+EPSILON = 0.2  # importance-weight clip
+WINDOW = 20  # trials in the windowed variance
 MAX_EPSILON = 1e6  # clip-weighted f values then stay within 1e106, whose variance cannot overflow
 
 
@@ -27,28 +29,24 @@ def lambda_schedule(t: int, eta: int) -> float:
 
 def importance_weight(g_density: float, q_density: float, epsilon: float) -> float:
     """Clipped ratio of target density over proposal density."""
-    if g_density <= 0 or q_density <= 0:
-        raise ObjectiveError("densities must be positive")
+    if not (0 < g_density < math.inf and 0 < q_density < math.inf):  # also catches NaN
+        raise ObjectiveError(f"densities must be positive and finite, got {g_density!r} and {q_density!r}")
     if not 0 <= epsilon <= MAX_EPSILON:  # also catches NaN
         raise ObjectiveError(f"epsilon must be a finite number in [0, {MAX_EPSILON:g}], got {epsilon!r}")
     ratio = g_density / q_density
     return min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
 
 
-def windowed_variance(
-    history: History, g_model: KdeModel, current, epsilon: float, window: int
-) -> float:
-    """Population variance of clip-weighted f values over the trailing window.
+def windowed_variance(history: History, g_model: KdeModel, current) -> float:
+    """Population variance of f values, clip-weighted at EPSILON, over the trailing window.
 
     `current` is a (config, f_value, proposal_density) triple for the trial
     being scored, its config already validated; the window covers the last
-    min(window, available) trials including it, scored as encoded rows.
+    min(WINDOW, available) trials including it, scored as encoded rows.
     """
-    if window < 2:
-        raise ObjectiveError("window must be at least 2")
-    entries = [(t.f_value, t.proposal_density) for t in history.trials[1 - window:]] + [current[1:]]
-    g = density(g_model, np.vstack([history.rows[1 - window:], encode(history.space, current[0])]))
-    weighted = [importance_weight(gi, qi, epsilon) * fi for gi, (fi, qi) in zip(g, entries)]
+    entries = [(t.f_value, t.proposal_density) for t in history.trials[1 - WINDOW:]] + [current[1:]]
+    g = density(g_model, np.vstack([history.rows[1 - WINDOW:], encode(history.space, current[0])]))
+    weighted = [importance_weight(gi, qi, EPSILON) * fi for gi, (fi, qi) in zip(g, entries)]
     return float(np.var(weighted))
 
 
@@ -59,11 +57,11 @@ def lagrangian_score(f_value: float, variance: float, lambda_t: float) -> float:
     return f_value - lambda_t * variance
 
 
-def build_g_model(history: History, k: float) -> KdeModel:
-    """KDE over the configs of the top-k trials ranked by raw f value.
+def build_g_model(history: History) -> KdeModel:
+    """KDE over the configs of the top-K trials (`surrogate.K`) ranked by raw f value.
 
     Approximates the distribution of high-quality configurations; refreshed
     every optimizer step.
     """
-    ranked, n_top = rank_top(history.f_values, k)
+    ranked, n_top = rank_top(history.f_values)
     return fit_kde(history.rows[ranked[:n_top]], history.space)  # rank order fixes component order

@@ -16,11 +16,7 @@ DEGENERATE_FLAG = "degenerate_volatility"
 NONFINITE_FLAG = "nonfinite_result"  # NaN, +-inf, or overflow-sized: |f| > MAX_ABS_F
 MAX_ABS_F = 1e100  # bigger results would overflow the windowed variance
 
-K = 0.15  # share of top trials that the good density and the g-model fit
-EPSILON = 0.2  # importance-weight clip
-WINDOW = 20  # trials in the windowed variance
 N_INIT = 20  # uniform warm-up draws
-N_CANDIDATES = 64  # candidates scored per TPE proposal
 
 
 class OptimizerError(ValueError):
@@ -51,8 +47,9 @@ def run(
 ) -> History:
     """Warm-up with N_INIT uniform draws, then `propose` (TPE by default); score each trial.
 
-    `propose` has the signature of `propose_next`, (history, k, n_candidates,
-    rng) -> (config, proposal density), and reads the space off the History.
+    `propose` has the signature of `propose_next`, (history, rng) -> (config,
+    proposal density), and reads the space off the History; the surrogate and
+    the objective hold the method's other constants.
     Trial t is scored with lambda = schedule(t, budget), by default the cosine
     schedule that penalizes the clip-weighted windowed variance; a zero
     schedule keeps J = f: conventional TPE.  A blackbox that raises, or returns
@@ -69,7 +66,7 @@ def run(
             config = sample_uniform(space, rng)
             q = u_density
         else:
-            config, q = propose(history, K, N_CANDIDATES, rng)
+            config, q = propose(history, rng)
         require_valid(space, config)  # SpaceError: a bad proposal is no black-box failure
 
         try:
@@ -84,8 +81,7 @@ def run(
         lam = schedule(t, opt.budget)
         variance = 0.0
         if lam > 0 and len(history) >= 2:
-            g_model = build_g_model(history, K)
-            variance = windowed_variance(history, g_model, (config, f, q), EPSILON, WINDOW)
+            variance = windowed_variance(history, build_g_model(history), (config, f, q))
 
         j = lagrangian_score(f, variance, lam)
         history.append(

@@ -14,6 +14,8 @@ DENSITY_FLOOR = 1e-300  # keeps far-tail evaluations positive despite underflow
 CATEGORICAL_FLOOR = 0.1  # weight of the uniform table mixed into each categorical table
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
+K = 0.15  # share of top trials that the good density and the g-model fit
+N_CANDIDATES = 64  # candidates scored per TPE proposal
 
 
 class SurrogateError(ValueError):
@@ -103,25 +105,23 @@ class KdeModel:
     lattice_prefix: np.ndarray  # integer dims x offsets -W-1..W, W the widest integer width
 
 
-def top_count(n: int, k: float) -> int:
-    """How many of n trials the top-k quantile rule of both density models keeps."""
-    return max(2, math.ceil(k * n))
+def top_count(n: int) -> int:
+    """How many of n trials the top-K quantile rule of both density models keeps."""
+    return max(2, math.ceil(K * n))
 
 
-def rank_top(scores: np.ndarray, k: float):
+def rank_top(scores: np.ndarray):
     """Trial indices ranked by descending score, lower step first on ties, and their top_count."""
     n = len(scores)
     if n < 2:
         raise SurrogateError("need at least 2 trials to rank")
-    if not 0 < k < 1:
-        raise SurrogateError("k must lie in (0, 1)")
-    return np.argsort(-scores, kind="stable"), top_count(n, k)
+    return np.argsort(-scores, kind="stable"), top_count(n)
 
 
-def split_history(history: History, k: float):
-    """Partition trial indices into (good, bad) at the top-k quantile of
+def split_history(history: History):
+    """Partition trial indices into (good, bad) at the top-K quantile of
     j_score, each group in step order."""
-    order, n_good = rank_top(history.j_scores, k)
+    order, n_good = rank_top(history.j_scores)
     return np.sort(order[:n_good]), np.sort(order[n_good:])
 
 
@@ -227,19 +227,18 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
     return out
 
 
-def propose_next(history: History, k: float, n_candidates: int, rng: np.random.Generator):
-    """Propose the next config in history's space by maximizing the good/bad density ratio.
+def propose_next(history: History, rng: np.random.Generator):
+    """Propose the next config in history's space by maximizing the good/bad
+    density ratio over N_CANDIDATES draws from the good-group model.
 
     Returns (config, proposal_density) where the density is taken under the
     good-group model the candidates were drawn from; the first of tied
     candidates wins, and only it is decoded to a Config.
     """
-    if n_candidates < 1:
-        raise SurrogateError("need at least one candidate")
-    good, bad = split_history(history, k)
+    good, bad = split_history(history)
     good_model = fit_kde(history.rows[good], history.space)
     bad_model = fit_kde(history.rows[bad], history.space)
-    candidates = sample_from_kde(good_model, rng, n_candidates)
+    candidates = sample_from_kde(good_model, rng, N_CANDIDATES)
     g = density(good_model, candidates)
     best = int(np.argmax(g / density(bad_model, candidates)))
     return decode(history.space, candidates[best]), float(g[best])

@@ -81,7 +81,7 @@ def test_criterion_4_split_correctness():
                 TrialRecord(step=step, config=Config((float(rng.uniform()),)),
                             f_value=j, j_score=j, proposal_density=1.0, lambda_used=0.0)
             )
-        good, bad = split_history(history, k=0.15)
+        good, bad = split_history(history)
         ok &= len(good) == max(2, math.ceil(0.15 * n))
         ok &= len(good) + len(bad) == n
         ok &= sorted(history.trials[i].step for i in [*good, *bad]) == list(range(1, n + 1))

@@ -24,9 +24,10 @@ from tpe_as.harness import (
     run_name,
     summary_from_log,
 )
-from tpe_as.optimizer import EPSILON, K, N_CANDIDATES, N_INIT, WINDOW, OptimizerConfig, run
+from tpe_as.objective import EPSILON, WINDOW
+from tpe_as.optimizer import N_INIT, OptimizerConfig, run
 from tpe_as.space import ParamSpace, SpaceError
-from tpe_as.surrogate import SurrogateError
+from tpe_as.surrogate import K, N_CANDIDATES, SurrogateError
 
 import numpy as np
 

@@ -62,9 +62,13 @@ class TestImportanceWeight:
         w = importance_weight(math.exp(log_ratio), 1.0, epsilon)
         assert 1 - epsilon <= w <= 1 + epsilon
 
-    def test_rejects_nonpositive_density(self):
-        with pytest.raises(ObjectiveError):
-            importance_weight(0.0, 1.0, 0.2)
+    @pytest.mark.parametrize(
+        "g, q", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_rejects_nonpositive_density(self, g, q):
+        # a NaN density would give a NaN weight, outside every clip band
+        with pytest.raises(ObjectiveError, match="^densities must be positive and finite"):
+            importance_weight(g, q, 0.2)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1, MAX_EPSILON * 10])
     def test_rejects_epsilon_outside_finite_nonnegative(self, epsilon):
@@ -93,48 +97,42 @@ class TestWindowedVariance:
         cfg = Config((0.5,))
         q = density(self.g, encoded(self.space, [cfg]))[0]  # weight exactly 1 at matching densities
         history = _history_of(self.space, [(cfg, 2.0, q)] * 5)
-        assert windowed_variance(history, self.g, (cfg, 2.0, q), 0.2, 4) == pytest.approx(0.0)
+        assert windowed_variance(history, self.g, (cfg, 2.0, q)) == pytest.approx(0.0)
 
     def test_two_point_population_variance(self):
         # weighted values {1.0, 3.0}: mean 2, population variance 1
         cfg = Config((0.5,))
         q = density(self.g, encoded(self.space, [cfg]))[0]
         history = _history_of(self.space, [(cfg, 1.0, q)])
-        assert windowed_variance(history, self.g, (cfg, 3.0, q), 0.2, 5) == pytest.approx(1.0)
+        assert windowed_variance(history, self.g, (cfg, 3.0, q)) == pytest.approx(1.0)
 
     def test_single_entry_zero(self):
         cfg = Config((0.5,))
-        assert windowed_variance(History(self.space), self.g, (cfg, 3.0, 1.0), 0.2, 5) == 0.0
+        assert windowed_variance(History(self.space), self.g, (cfg, 3.0, 1.0)) == 0.0
 
-    def test_window_below_two_rejected(self):
-        cfg = Config((0.5,))
-        with pytest.raises(ObjectiveError):
-            windowed_variance(History(self.space), self.g, (cfg, 3.0, 1.0), 0.2, 1)
-
-    def test_trials_beyond_window_ignored(self):
+    def test_window_is_the_last_twenty_trials(self):
+        # unit weights: the current trial and the 19 before it, none earlier
         rng = np.random.default_rng(0)
         cfg = Config((0.5,))
         q = density(self.g, encoded(self.space, [cfg]))[0]
-        tail = [(cfg, float(rng.normal()), q) for _ in range(4)]
-        short = _history_of(self.space, tail)
-        prefixed = _history_of(
-            self.space, [(cfg, float(rng.normal(10)), q) for _ in range(15)] + tail
-        )
+        tail = [(cfg, float(rng.normal()), q) for _ in range(19)]
         current = (cfg, 1.5, q)
-        assert windowed_variance(short, self.g, current, 0.2, 5) == pytest.approx(
-            windowed_variance(prefixed, self.g, current, 0.2, 5)
-        )
+        expected = float(np.var([f for _, f, _ in tail] + [1.5]))
+        for prefix in ([], [(cfg, float(rng.normal(10)), q) for _ in range(15)]):
+            history = _history_of(self.space, prefix + tail)
+            assert windowed_variance(history, self.g, current) == pytest.approx(expected, rel=1e-12)
 
-    def test_epsilon_zero_matches_unweighted_variance(self):
+    def test_weights_clip_at_two_tenths(self):
+        # proposal densities 1000x above or below g put every weight on a
+        # clip bound, 0.8 or 1.2
         rng = np.random.default_rng(1)
-        entries = [
-            (Config((float(rng.uniform()),)), float(rng.normal()), float(rng.uniform(0.5, 2)))
-            for _ in range(6)
-        ]
+        configs = [Config((float(rng.uniform()),)) for _ in range(6)]
+        g = density(self.g, encoded(self.space, configs))
+        scale = [1e3, 1e-3, 1e-3, 1e3, 1e-3, 1e3]
+        entries = [(cfg, float(rng.normal()), float(gi * s)) for cfg, gi, s in zip(configs, g, scale)]
         history = _history_of(self.space, entries[:-1])
-        variance = windowed_variance(history, self.g, entries[-1], 0.0, 10)
-        fs = [f for _, f, _ in entries]
-        assert variance == pytest.approx(float(np.var(fs)))
+        weighted = [(0.8 if s > 1 else 1.2) * f for (_, f, _), s in zip(entries, scale)]
+        assert windowed_variance(history, self.g, entries[-1]) == pytest.approx(float(np.var(weighted)), rel=1e-12)
 
 
 class TestLagrangianScore:
@@ -155,7 +153,7 @@ class TestBuildGModel:
             unit_space,
             [(sample_uniform(unit_space, rng), float(rng.normal()), 1.0) for _ in range(2)],
         )
-        model = build_g_model(history, 0.15)
+        model = build_g_model(history)
         assert model.n_components == 2
 
     def test_ranks_by_f_not_j(self, unit_space):
@@ -167,7 +165,7 @@ class TestBuildGModel:
                                    proposal_density=1.0, lambda_used=0.0))
         history.append(TrialRecord(3, Config((0.2,)), f_value=0.5, j_score=0.5,
                                    proposal_density=1.0, lambda_used=0.0))
-        model = build_g_model(history, 0.5)
+        model = build_g_model(history)
         assert model.n_components == 2
         centers = sorted(model.centers[0])
         assert centers == pytest.approx([0.1, 0.9])
@@ -180,7 +178,7 @@ class TestBuildGModel:
             x = float(rng.uniform())
             entries.append((Config((x,)), -((x - 0.5) ** 2), 1.0))
         history = _history_of(unit_space, entries)
-        model = build_g_model(history, 0.15)
+        model = build_g_model(history)
         ranked = sorted(history.trials, key=lambda t: -t.f_value)
         top = np.mean(density(model, encoded(unit_space, [t.config for t in ranked[:10]])))
         bottom = np.mean(density(model, encoded(unit_space, [t.config for t in ranked[-10:]])))

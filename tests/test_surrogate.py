@@ -13,7 +13,7 @@ from scipy.stats import chisquare, kstest
 from conftest import encoded, random_space
 from tpe_as import cli, optimizer
 from tpe_as.blackbox import STRATEGIES, strategy_preset
-from tpe_as.objective import ObjectiveError, importance_weight
+from tpe_as.objective import importance_weight
 from tpe_as.space import (
     Config,
     ParamDomain,
@@ -37,7 +37,6 @@ from tpe_as.surrogate import (
     rank_top,
     sample_from_kde,
     split_history,
-    top_count,
 )
 
 UNIT_SPACE = ParamSpace((ParamDomain("x", "continuous", 0.0, 1.0),))
@@ -113,17 +112,17 @@ class TestHistory:
 class TestSplitHistory:
     def test_paper_quantile(self):
         history = make_history(list(range(100)))
-        good, bad = split_history(history, 0.15)
+        good, bad = split_history(history)
         assert len(good) == 15 and len(bad) == 85
 
     def test_minimum_floor(self):
         history = make_history(list(range(10)))
-        good, bad = split_history(history, 0.15)
+        good, bad = split_history(history)
         assert len(good) == 2 and len(bad) == 8
 
     def test_tie_break_by_step(self):
         history = make_history([1.0] * 20)
-        good, bad = split_history(history, 0.15)
+        good, bad = split_history(history)
         assert [history.trials[i].step for i in good] == [1, 2, 3]
         assert list(bad) == list(range(3, 20))
 
@@ -132,7 +131,7 @@ class TestSplitHistory:
         for _ in range(50):
             n = int(rng.integers(2, 200))
             history = make_history(list(rng.normal(size=n)))
-            good, bad = split_history(history, 0.15)
+            good, bad = split_history(history)
             assert len(good) == max(2, math.ceil(0.15 * n))
             assert sorted([*good, *bad]) == list(range(n))
             assert list(good) == sorted(good) and list(bad) == sorted(bad)
@@ -146,17 +145,15 @@ class TestSplitHistory:
         # the stable index order must be that of sorted(key=(-score, step))
         rng = np.random.default_rng(seed)
         history = make_history(rng.integers(-2, 3, int(rng.integers(2, 500))).astype(float).tolist())
-        order, n_top = rank_top(np.array([t.j_score for t in history.trials]), 0.15)
-        ranked, n_ref = config_rank_top(history, 0.15, lambda t: t.j_score)
+        order, n_top = rank_top(np.array([t.j_score for t in history.trials]))
+        ranked, n_ref = config_rank_top(history, lambda t: t.j_score)
         assert n_top == n_ref and [history.trials[i] for i in order] == ranked
-        good, bad = split_history(history, 0.15)
-        assert [[history.trials[i] for i in g] for g in (good, bad)] == list(
-            config_split_history(history, 0.15)
-        )
+        good, bad = split_history(history)
+        assert [[history.trials[i] for i in g] for g in (good, bad)] == list(config_split_history(history))
 
     def test_insufficient_history(self):
         with pytest.raises(SurrogateError):
-            split_history(make_history([1.0]), 0.15)
+            split_history(make_history([1.0]))
 
 
 class TestFitKde:
@@ -310,8 +307,8 @@ class TestProposeNext:
 
     def test_deterministic_given_seed(self, unit_space, rng):
         history = self.make_clustered_history(unit_space, rng)
-        a = propose_next(history, 0.15, 16, np.random.default_rng(3))
-        b = propose_next(history, 0.15, 16, np.random.default_rng(3))
+        a = propose_next(history, np.random.default_rng(3))
+        b = propose_next(history, np.random.default_rng(3))
         assert a == b
 
     def test_proposal_validates(self, mixed_space, rng):
@@ -324,19 +321,12 @@ class TestProposeNext:
                             lambda_used=0.0)
             )
         for s in range(20):
-            cfg, q = propose_next(history, 0.15, 8, np.random.default_rng(s))
+            cfg, q = propose_next(history, np.random.default_rng(s))
             require_valid(mixed_space, cfg)
             assert q > 0
 
-    def test_single_candidate_degenerate_argmax(self, unit_space, rng):
-        history = self.make_clustered_history(unit_space, rng)
-        good, _ = split_history(history, 0.15)
-        model = fit_kde(history.rows[good], unit_space)
-        (draw,) = sample_from_kde(model, np.random.default_rng(9), 1)
-        cfg, _ = propose_next(history, 0.15, 1, np.random.default_rng(9))
-        assert cfg == decode(unit_space, draw)
-
     def test_best_ratio_of_reference_draws(self, mixed_space, rng):
+        # the winner of the 64 candidates that the good model's three RNG blocks give
         history = History(mixed_space)
         for i in range(1, 40):
             score = float(rng.normal())
@@ -344,14 +334,14 @@ class TestProposeNext:
                 TrialRecord(step=i, config=sample_uniform(mixed_space, rng), f_value=score,
                             j_score=score, proposal_density=1.0, lambda_used=0.0)
             )
-        good, bad = split_history(history, 0.15)
+        good, bad = split_history(history)
         good_model = fit_kde(history.rows[good], mixed_space)
         bad_model = fit_kde(history.rows[bad], mixed_space)
-        candidates = config_sample_from_kde(good_model, np.random.default_rng(4), 32)
+        candidates = config_sample_from_kde(good_model, np.random.default_rng(4), 64)
         rows = encoded(mixed_space, candidates)
         g = density(good_model, rows)
         best = int(np.argmax(g / density(bad_model, rows)))
-        cfg, q = propose_next(history, 0.15, 32, np.random.default_rng(4))
+        cfg, q = propose_next(history, np.random.default_rng(4))
         assert repr(cfg) == repr(candidates[best])
         assert q == g[best]  # as scored in its batch: a lone row's last bits may differ
 
@@ -359,7 +349,7 @@ class TestProposeNext:
         history = self.make_clustered_history(unit_space, rng, n=80)
         hits = 0
         for s in range(100):
-            cfg, _ = propose_next(history, 0.15, 32, np.random.default_rng(s))
+            cfg, _ = propose_next(history, np.random.default_rng(s))
             if 0.3 <= cfg.values[0] <= 0.7:
                 hits += 1
         assert hits >= 90
@@ -414,24 +404,25 @@ def reference_validate_batch(space, *configs):
 # only the names carry a `config_` prefix, and the batch validator and lattice
 # pmf they called are `reference_validate_batch` and `reference_lattice_pmf`.
 # The sampler is instead a per-config scalar reading of `sample_from_kde`'s
-# rule over the same three RNG blocks.
+# rule over the same three RNG blocks.  The oracles write the method's
+# constants as literals, the top share 0.15, 64 candidates, the clip 0.2 and
+# the window of 20, so a change to the program's constants fails against them.
 
 
-def config_rank_top(history: History, k: float, score):
-    """Trials ranked by descending score, lower step first on ties, and their top_count."""
+def config_rank_top(history: History, score):
+    """Trials ranked by descending score, lower step first on ties, and how
+    many of them the top-0.15 quantile rule keeps."""
     n = len(history)
     if n < 2:
         raise SurrogateError("need at least 2 trials to rank")
-    if not 0 < k < 1:
-        raise SurrogateError("k must lie in (0, 1)")
     ranked = sorted(history.trials, key=lambda t: (-score(t), t.step))
-    return ranked, top_count(n, k)
+    return ranked, max(2, math.ceil(0.15 * n))
 
 
-def config_split_history(history: History, k: float):
-    """Partition trials into (good, bad) at the top-k quantile of j_score,
+def config_split_history(history: History):
+    """Partition trials into (good, bad) at the top-0.15 quantile of j_score,
     each group in step order."""
-    ranked, n_good = config_rank_top(history, k, lambda t: t.j_score)
+    ranked, n_good = config_rank_top(history, lambda t: t.j_score)
     step = lambda t: t.step
     return sorted(ranked[:n_good], key=step), sorted(ranked[n_good:], key=step)
 
@@ -542,33 +533,29 @@ def config_sample_from_kde(model, rng: np.random.Generator, n: int) -> list:
     return draws
 
 
-def config_propose_next(history, k, n_candidates, rng):
-    """Propose the next config by maximizing the good/bad density ratio."""
-    if n_candidates < 1:
-        raise SurrogateError("need at least one candidate")
-    good, bad = config_split_history(history, k)
+def config_propose_next(history, rng):
+    """Propose the next config by maximizing the good/bad density ratio over 64 candidates."""
+    good, bad = config_split_history(history)
     good_model = config_fit_kde([t.config for t in good], history.space)
     bad_model = config_fit_kde([t.config for t in bad], history.space)
-    candidates = config_sample_from_kde(good_model, rng, n_candidates)
+    candidates = config_sample_from_kde(good_model, rng, 64)
     g = config_density(good_model, candidates)
     best = int(np.argmax(g / config_density(bad_model, candidates)))
     return candidates[best], float(g[best])
 
 
-def config_windowed_variance(history, g_model, current, epsilon, window):
-    """Population variance of clip-weighted f values over the trailing window."""
-    if window < 2:
-        raise ObjectiveError("window must be at least 2")
-    entries = [(t.config, t.f_value, t.proposal_density) for t in history.trials[1 - window:]]
+def config_windowed_variance(history, g_model, current):
+    """Population variance of f values, clip-weighted at 0.2, over the trailing window of 20 trials."""
+    entries = [(t.config, t.f_value, t.proposal_density) for t in history.trials[-19:]]
     entries.append(current)
     g = config_density(g_model, [cfg for cfg, _, _ in entries])
-    weighted = [importance_weight(gi, q, epsilon) * f for gi, (_, f, q) in zip(g, entries)]
+    weighted = [importance_weight(gi, q, 0.2) * f for gi, (_, f, q) in zip(g, entries)]
     return float(np.var(weighted))
 
 
-def config_build_g_model(history, k):
-    """KDE over the configs of the top-k trials ranked by raw f value."""
-    ranked, n_top = config_rank_top(history, k, lambda t: t.f_value)
+def config_build_g_model(history):
+    """KDE over the configs of the top-0.15 trials ranked by raw f value."""
+    ranked, n_top = config_rank_top(history, lambda t: t.f_value)
     return config_fit_kde([t.config for t in ranked[:n_top]], history.space)  # rank order fixes component order
 
 
