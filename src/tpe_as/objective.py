@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .space import encode
-from .surrogate import History, KdeModel, density, fit_kde, rank_top
+from .surrogate import History, KdeModel, density, fit_kde, rank_top  # noqa: F401  bench/ traces objective.fit_kde
 
 EPSILON = 0.2  # importance-weight clip
 WINDOW = 20  # trials in the windowed variance
@@ -61,7 +61,7 @@ def build_g_model(history: History) -> KdeModel:
     """KDE over the configs of the top-K trials (`surrogate.K`) ranked by raw f value.
 
     Approximates the distribution of high-quality configurations; refreshed
-    every optimizer step.
+    every optimizer step, and refitted only when the top list changes.
     """
     ranked, n_top = rank_top(history.f_values)
-    return fit_kde(history.rows[ranked[:n_top]], history.space)  # rank order fixes component order
+    return history.fit(ranked[:n_top])  # rank order fixes component order

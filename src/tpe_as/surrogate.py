@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,22 @@ class History:
     def __init__(self, space: ParamSpace):
         self.space, self.trials = space, []
         self._rows, self._scores = np.empty((64, space.m)), np.empty((64, 2))
+        self._fits = (0, {}, {})  # (length, fits at it, fits at the length before; no older), by member bytes
+
+    def __getstate__(self):  # a History a worker returns leaves its fits behind
+        return {**self.__dict__, "_fits": (0, {}, {})}
+
+    def fit(self, members: np.ndarray) -> KdeModel:
+        """fit_kde of the rows at index array `members`, whose order fixes the
+        component order.  Rows never change and a fit is deterministic, so a
+        list fitted at this length or at the last one fitted at returns that fit."""
+        if self._fits[0] != len(self.trials):
+            self._fits = len(self.trials), {}, self._fits[1]
+        _, fits, last = self._fits
+        key = members.tobytes()
+        if key not in fits:
+            fits[key] = last.get(key) or fit_kde(self.rows[members], self.space)
+        return fits[key]
 
     def append(self, trial: TrialRecord) -> None:
         n = len(self.trials)
@@ -94,6 +111,7 @@ class KdeModel:
     log(bw * sqrt(2 pi) * truncation mass) over continuous dimensions and
     of log Z(c), the kernel's sum over the lattice, over integer ones; each
     integer dimension keeps its kernel's prefix sums, which give every Z(c).
+    A model builds the arrays `density` and `sample_from_kde` read at its first call of each.
     """
 
     space: ParamSpace
@@ -103,6 +121,41 @@ class KdeModel:
     n_components: int
     log_norm: np.ndarray  # per component
     lattice_prefix: np.ndarray  # integer dims x offsets -W-1..W, W the widest integer width
+
+    @cached_property
+    def _score_arrays(self):
+        """density's numeric columns, mean center and bandwidths, and its GEMM operand
+        [c, -1/2, log_norm - |c|^2 / 2] of the centred, bandwidth-scaled centers c."""
+        numeric = list(self.bandwidths)
+        bw = np.array(list(self.bandwidths.values()))
+        centers = np.array([self.centers[i] for i in numeric]).reshape(len(numeric), self.n_components).T
+        mu = centers.mean(axis=0)
+        c = (centers - mu) / bw
+        return numeric, mu, bw, np.column_stack([c, np.full(len(c), -0.5), self.log_norm - 0.5 * (c * c).sum(1)])
+
+    @cached_property
+    def _draw_arrays(self):
+        """sample_from_kde's column lists and bounds; per continuous (component, dim) its center, Phi(a),
+        Phi(-b) and mass; each categorical cdf; per integer (dim, component) the prefix index below the
+        lattice window, the sum there, Z(c), and the first index where the window's sum stops growing."""
+        from scipy.special import ndtr  # imported here for the reason fit_kde imports erf
+
+        domains = self.space.domains
+        cont, ints = ([i for i, d in enumerate(domains) if d.kind == kind] for kind in ("continuous", "integer"))
+        other = [i for i, d in enumerate(domains) if d.kind != "continuous"]
+        lo, hi = np.array([[domains[i].lo, domains[i].hi] for i in cont], dtype=float).reshape(-1, 2).T
+        bw = np.array([self.bandwidths[i] for i in cont])
+        c = np.array([self.centers[i] for i in cont]).reshape(len(cont), self.n_components).T
+        pa, qb = ndtr((lo - c) / bw), ndtr(-((hi - c) / bw))
+        cdfs = {i: table.cumsum() / table.cumsum()[-1] for i, table in self.categorical_tables.items()}
+        int_lo, width = np.array([[domains[i].lo, domains[i].hi - domains[i].lo] for i in ints]).reshape(-1, 2).T
+        offset = np.array([self.centers[i] for i in ints]).reshape(len(ints), self.n_components) - int_lo[:, None]
+        prefix = self.lattice_prefix
+        below = prefix.shape[1] // 2 - 1 - offset.astype(int)  # W - offset: the index below each window
+        base, top = (np.take_along_axis(prefix, i, axis=1) for i in (below, below + width.astype(int)[:, None] + 1))
+        cap = np.array([row.searchsorted(t, side="left") for row, t in zip(prefix, top)]).reshape(below.shape)
+        per_component = np.stack([c, pa, qb, 1.0 - pa - qb])
+        return cont, other, ints, lo, hi, bw, per_component, cdfs, (int_lo[:, None], below, base, top - base, cap)
 
 
 def top_count(n: int) -> int:
@@ -169,13 +222,9 @@ def density(model: KdeModel, x: np.ndarray) -> np.ndarray:
     of [z, |z|^2, 1] and [c, -1/2, log_norm - |c|^2 / 2], and takes one `exp`;
     only the categorical tables multiply in after.  Within 1e-12 relative of
     the per-dimension product; a row's last bits may depend on its batch."""
-    numeric = list(model.bandwidths)
-    bw = np.array(list(model.bandwidths.values()))
-    centers = np.array([model.centers[i] for i in numeric]).reshape(len(numeric), model.n_components).T
-    mu = centers.mean(axis=0)
-    c, z = (centers - mu) / bw, (x[:, numeric] - mu) / bw
+    numeric, mu, bw, c = model._score_arrays
+    z = (x[:, numeric] - mu) / bw
     z = np.column_stack([z, (z * z).sum(axis=1), np.ones(len(x))])
-    c = np.column_stack([c, np.full(len(c), -0.5), model.log_norm - 0.5 * (c * c).sum(axis=1)])
     per_component = np.exp(np.minimum(z @ c.T, model.log_norm))
     categorical_factor = np.ones(len(x))
     for i, table in model.categorical_tables.items():
@@ -198,32 +247,23 @@ def sample_from_kde(model: KdeModel, rng: np.random.Generator, n: int) -> np.nda
     and capped where the window's sum stops growing: in exact arithmetic the cdf
     rule, never a zero-weight value."""
     # imported here for the reason fit_kde imports erf
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtri
 
-    domains = model.space.domains
-    cont = [i for i, d in enumerate(domains) if d.kind == "continuous"]
-    other = [i for i, d in enumerate(domains) if d.kind != "continuous"]
+    cont, other, ints, lo, hi, bw, per_component, cdfs, (int_lo, below, base, span, cap) = model._draw_arrays
     comps = rng.integers(model.n_components, size=n)
     u = rng.random((n, len(cont)))
     out = np.empty((n, model.space.m))
     out[:, other] = rng.random((n, len(other)))
-    lo, hi = np.array([[domains[i].lo, domains[i].hi] for i in cont], dtype=float).reshape(-1, 2).T
-    bw = np.array([model.bandwidths[i] for i in cont])
-    c = np.array([model.centers[i] for i in cont]).reshape(len(cont), model.n_components)[:, comps].T
-    a, b = (lo - c) / bw, (hi - c) / bw
-    pa, qb = ndtr(a), ndtr(-b)
-    mass = 1.0 - pa - qb  # >= Phi(2) - Phi(0) ~ 0.477, as bw <= (hi - lo) / 2
+    c, pa, qb, mass = per_component[:, comps]  # mass >= Phi(2) - Phi(0) ~ 0.477, as bw <= (hi - lo) / 2
     p = pa + u * mass
     z = np.where(p <= 0.5, ndtri(p), -ndtri(qb + (1.0 - u) * mass))
     out[:, cont] = np.clip(c + bw * z, lo, hi)
-    for i, table in model.categorical_tables.items():
-        cdf = table.cumsum()
-        out[:, i] = (cdf / cdf[-1]).searchsorted(out[:, i], side="right")
-    for prefix, (i, d) in zip(model.lattice_prefix, [(i, d) for i, d in enumerate(domains) if d.kind == "integer"]):
-        below = len(prefix) // 2 - 1 - (model.centers[i][comps] - d.lo).astype(int)  # prefix index below the window
-        base, top = prefix[below], prefix[below + int(d.hi - d.lo) + 1]
-        pick = prefix.searchsorted(base + out[:, i] * (top - base), side="right")
-        out[:, i] = np.minimum(pick, prefix.searchsorted(top, side="left")) - below - 1 + d.lo
+    for i, cdf in cdfs.items():
+        out[:, i] = cdf.searchsorted(out[:, i], side="right")
+    below, cap = below[:, comps], cap[:, comps]
+    target = base[:, comps] + out[:, ints].T * span[:, comps]
+    pick = np.array([row.searchsorted(t, side="right") for row, t in zip(model.lattice_prefix, target)])
+    out[:, ints] = (np.minimum(pick.reshape(below.shape), cap) - below - 1 + int_lo).T
     return out
 
 
@@ -236,8 +276,8 @@ def propose_next(history: History, rng: np.random.Generator):
     candidates wins, and only it is decoded to a Config.
     """
     good, bad = split_history(history)
-    good_model = fit_kde(history.rows[good], history.space)
-    bad_model = fit_kde(history.rows[bad], history.space)
+    good_model = history.fit(good)
+    bad_model = fit_kde(history.rows[bad], history.space)  # the largest list, and it changes at almost every step
     candidates = sample_from_kde(good_model, rng, N_CANDIDATES)
     g = density(good_model, candidates)
     best = int(np.argmax(g / density(bad_model, candidates)))

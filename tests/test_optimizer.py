@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import adaptive_quadratic_search, quadratic, random_space
 from tpe_as import objective, optimizer
 from tpe_as.baselines import BASELINE_KINDS, run_baseline
 from tpe_as.blackbox import SharpeValue
+from tpe_as.harness import history_from_jsonl, history_to_jsonl
 from tpe_as.objective import MAX_EPSILON
 from tpe_as.optimizer import (
     DEGENERATE_FLAG,
@@ -112,38 +114,50 @@ class TestRun:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(N_INIT + 1, N_INIT + 15),
         outcomes=st.lists(
             st.sampled_from(["ok", "ok", "degenerate", "raise", "nan", "inf", "-inf", "1e300", "-1e300"]),
-            min_size=30,
-            max_size=30,
+            min_size=N_INIT + 15,
+            max_size=N_INIT + 15,
         ),
         runner=st.sampled_from([run, *(functools.partial(run_baseline, kind) for kind in BASELINE_KINDS)]),
     )
-    def test_bad_blackbox_output_flagged(self, seed, outcomes, runner):
-        pending = iter(outcomes)
+    def test_bad_blackbox_output_flagged(self, seed, budget, outcomes, runner):
+        def bad_blackbox(pending):
+            def evaluate(cfg):
+                outcome = next(pending)
+                if outcome == "raise":
+                    raise RuntimeError("simulator crashed")
+                if outcome == "degenerate":  # a zero-volatility series: no failure, but flagged
+                    return SharpeValue(0.0, degenerate=True)
+                if outcome != "ok":
+                    return float(outcome)
+                return sum(float(v) for v in cfg.values if not isinstance(v, str))
 
-        def bad_blackbox(cfg):
-            outcome = next(pending)
-            if outcome == "raise":
-                raise RuntimeError("simulator crashed")
-            if outcome == "degenerate":  # a zero-volatility series: no failure, but flagged
-                return SharpeValue(0.0, degenerate=True)
-            if outcome != "ok":
-                return float(outcome)
-            return sum(float(v) for v in cfg.values if not isinstance(v, str))
+            return evaluate
 
-        opt = OptimizerConfig(budget=30, seed=seed)
-        history = runner(opt, bad_blackbox, random_space(np.random.default_rng(seed)))
-        assert [t.step for t in history.trials] == list(range(1, 31))
+        space = random_space(np.random.default_rng(seed))
+        opt = OptimizerConfig(budget=budget, seed=seed)
+        history = runner(opt, bad_blackbox(iter(outcomes)), space)
+        assert [t.step for t in history.trials] == list(range(1, budget + 1))
         flags = {"ok": (), "degenerate": (DEGENERATE_FLAG,), "raise": (FAILURE_FLAG,)}
         for t, outcome in zip(history.trials, outcomes):
             assert math.isfinite(t.f_value) and math.isfinite(t.j_score)
             assert t.flags == flags.get(outcome, (FAILURE_FLAG, NONFINITE_FLAG))
             assert t.j_score <= t.f_value
+            if t.lambda_used == 0:
+                assert t.j_score == t.f_value
             if outcome != "ok":
                 assert t.f_value == 0.0
         lambdas = [t.lambda_used for t in history.trials]
         assert lambdas == sorted(lambdas)
+        log = history_to_jsonl(history, space)
+        assert history_to_jsonl(history_from_jsonl(log, space), space) == log
+        fs = [t.f_value for t in history.trials]
+        expected = {"max_f": max(fs), "variance_f": pytest.approx(statistics.pvariance(fs), rel=1e-9)}
+        assert summarize(history.f_values) == expected
+        # a second run in the same process starts from nothing that the first left behind
+        assert history_to_jsonl(runner(opt, bad_blackbox(iter(outcomes)), space), space) == log
 
     def test_widest_epsilon_keeps_j_finite_at_the_largest_f(self, space_2d, monkeypatch):
         # each weight at importance_weight's widest, 1 + MAX_EPSILON, on f values

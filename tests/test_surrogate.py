@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -11,9 +13,9 @@ from scipy.special import erf, ndtr, ndtri
 from scipy.stats import chisquare, kstest
 
 from conftest import encoded, random_space
-from tpe_as import cli, optimizer
+from tpe_as import cli, optimizer, surrogate
 from tpe_as.blackbox import STRATEGIES, strategy_preset
-from tpe_as.objective import importance_weight
+from tpe_as.objective import build_g_model, importance_weight
 from tpe_as.space import (
     Config,
     ParamDomain,
@@ -353,6 +355,120 @@ class TestProposeNext:
             if 0.3 <= cfg.values[0] <= 0.7:
                 hits += 1
         assert hits >= 90
+
+
+def same_fit(a, b) -> bool:
+    """Two KdeModels whose fields are equal, array for array."""
+    return (
+        a.space == b.space and a.n_components == b.n_components and a.bandwidths == b.bandwidths
+        and all((x is None and y is None) or np.array_equal(x, y) for x, y in zip(a.centers, b.centers))
+        and list(a.categorical_tables) == list(b.categorical_tables)
+        and all(np.array_equal(t, b.categorical_tables[i]) for i, t in a.categorical_tables.items())
+        and np.array_equal(a.log_norm, b.log_norm) and np.array_equal(a.lattice_prefix, b.lattice_prefix)
+    )
+
+
+def filled_history(space, rng, n):
+    history = History(space)
+    for i in range(1, n + 1):
+        score = float(rng.normal())
+        history.append(TrialRecord(step=i, config=sample_uniform(space, rng), f_value=score, j_score=score,
+                                   proposal_density=1.0, lambda_used=0.0))
+    return history
+
+
+def numeric_sum(cfg):
+    return sum(float(v) for v in cfg.values if not isinstance(v, str))
+
+
+class TestFitReuse:
+    """History.fit refits only a member list it has not fitted at this length or the one before."""
+
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """The rows of every fit_kde call made through surrogate's binding, History.fit's included."""
+        rows_fitted = []
+
+        def counted(rows, space, _fit=fit_kde):
+            rows_fitted.append(rows.copy())
+            return _fit(rows, space)
+
+        monkeypatch.setattr(surrogate, "fit_kde", counted)
+        return rows_fitted
+
+    def test_reused_fit_equals_a_fresh_fit(self, monkeypatch, fitted):
+        # every model the adaptive loop gets from History.fit, reused or not,
+        # has a fresh fit's arrays and gives its densities and draws bit for bit
+        space, reused, original = strategy_preset("trend_following").param_space, [], History.fit
+
+        def checked(history, members):
+            n_fits = len(fitted)
+            model = original(history, members)
+            reused.append(len(fitted) == n_fits)
+            fresh = fit_kde(history.rows[members], history.space)
+            assert same_fit(model, fresh)
+            for seed in range(2):
+                draws = sample_from_kde(model, np.random.default_rng(seed), 64)
+                assert draws.tobytes() == sample_from_kde(fresh, np.random.default_rng(seed), 64).tobytes()
+                x = np.vstack([history.rows, draws])
+                assert density(model, x).tobytes() == density(fresh, x).tobytes()
+            return model
+
+        monkeypatch.setattr(History, "fit", checked)
+        optimizer.run(optimizer.OptimizerConfig(budget=100, seed=0), numeric_sum, space)
+        assert len(reused) == 80 + 98 and sum(reused) > len(reused) / 4  # the good model from step 21, g from 3
+
+    def test_changed_member_list_fits_anew(self, mixed_space, rng, fitted):
+        history = filled_history(mixed_space, rng, 30)
+        good, _ = split_history(history)
+        model = history.fit(good)
+        assert history.fit(good) is model and len(fitted) == 1
+        history.append(TrialRecord(step=31, config=sample_uniform(mixed_space, rng), f_value=9.0, j_score=9.0,
+                                   proposal_density=1.0, lambda_used=0.0))
+        assert history.fit(good) is model and len(fitted) == 1  # the same list one trial later
+        new_good, _ = split_history(history)
+        assert not np.array_equal(new_good, good)
+        assert history.fit(new_good) is not model and len(fitted) == 2
+        assert np.array_equal(fitted[-1], history.rows[new_good])
+        history.fit(new_good[::-1])  # member order fixes component order, so it is part of the list
+        assert len(fitted) == 3
+
+    def test_g_model_refits_when_the_top_list_changes(self, mixed_space, rng, fitted):
+        history = filled_history(mixed_space, rng, 30)
+        g_model = build_g_model(history)
+        for step, f, refit in ((31, -9.0, False), (32, 9.0, True), (33, -9.0, False)):
+            history.append(TrialRecord(step=step, config=sample_uniform(mixed_space, rng), f_value=f,
+                                       j_score=f, proposal_density=1.0, lambda_used=0.0))
+            n_fits = len(fitted)
+            model = build_g_model(history)
+            assert len(fitted) - n_fits == int(refit)
+            assert (model is g_model) == (not refit)
+            ranked = np.argsort(-history.f_values, kind="stable")[:len(model.log_norm)]
+            assert same_fit(model, fit_kde(history.rows[ranked], mixed_space))
+            g_model = model
+
+    def test_memo_keeps_only_the_last_two_lengths(self, mixed_space, monkeypatch):
+        # a model History.fit last returned two lengths ago is freed: the memo
+        # holds no more than the fits at this length and at the one before
+        returned, original = {}, History.fit
+
+        def watched(history, members):
+            model = original(history, members)
+            returned[id(model)] = weakref.ref(model), len(history)
+            alive = [n for ref, n in returned.values() if ref() is not None]
+            assert min(alive) >= len(history) - 1 and len(alive) <= 4  # good and g lists at two lengths
+            return model
+
+        monkeypatch.setattr(History, "fit", watched)
+        optimizer.run(optimizer.OptimizerConfig(budget=80, seed=1), numeric_sum, mixed_space)
+
+    def test_pickled_history_leaves_its_fits_behind(self, mixed_space, rng):
+        history = filled_history(mixed_space, rng, 30)
+        before = pickle.dumps(history)
+        good, _ = split_history(history)
+        model = history.fit(good)
+        assert pickle.dumps(history) == before
+        assert same_fit(pickle.loads(before).fit(good), model)
 
 
 # The per-config validator that the fast path replaced, kept verbatim as its
