@@ -11,7 +11,6 @@ import argparse
 from pathlib import Path
 
 from tpe_as.harness import METHODS, ExperimentConfig, report, run_experiment, summary_stats
-from tpe_as.optimizer import OptimizerConfig
 
 
 def main() -> int:
@@ -26,9 +25,7 @@ def main() -> int:
     status = 0
     for method in METHODS:
         out = Path(args.output_dir) / method
-        config = ExperimentConfig(
-            method, "threshold_hybrid", "high_volatility", OptimizerConfig(budget=args.budget), tuple(args.seeds), str(out)
-        )
+        config = ExperimentConfig(method, "threshold_hybrid", "high_volatility", args.budget, tuple(args.seeds), str(out))
         status |= run_experiment(
             config, overwrite=args.overwrite, parallelism=args.parallelism
         )

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from tpe_as.blackbox import SCENARIOS, STRATEGIES
 from tpe_as.harness import METHODS, ExperimentConfig, report, run_experiment
-from tpe_as.optimizer import OptimizerConfig
 
 
 def main() -> int:
@@ -28,9 +27,7 @@ def main() -> int:
         for strategy in STRATEGIES:
             for scenario in SCENARIOS:
                 out = Path(args.output_dir) / f"{method}_{strategy}_{scenario}"
-                config = ExperimentConfig(
-                    method, strategy, scenario, OptimizerConfig(budget=args.budget), tuple(args.seeds), str(out)
-                )
+                config = ExperimentConfig(method, strategy, scenario, args.budget, tuple(args.seeds), str(out))
                 status |= run_experiment(
                     config, overwrite=args.overwrite, parallelism=args.parallelism
                 )

@@ -7,12 +7,11 @@ import functools
 import json
 import math
 import statistics
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .baselines import BASELINE_KINDS, run_baseline
 from .blackbox import evaluate, scenario_preset, strategy_preset
@@ -42,7 +41,7 @@ class ExperimentConfig:
     method: str
     strategy: str
     scenario: str
-    optimizer: OptimizerConfig
+    budget: int
     seeds: tuple
     output_dir: str
 
@@ -53,8 +52,8 @@ class ExperimentConfig:
             raise HarnessError("seeds must be non-empty and distinct")
         if not isinstance(self.output_dir, str):
             raise HarnessError(f"output_dir must be a string, got {self.output_dir!r}")
-        for seed in self.seeds:  # fail fast on bad seeds and unresolvable presets, before any run starts
-            replace(self.optimizer, seed=seed)
+        for seed in self.seeds:  # fail fast on a bad budget, seeds and unresolvable presets, before any run starts
+            OptimizerConfig(self.budget, seed)
         strategy_preset(self.strategy)
         scenario_preset(self.scenario)
 
@@ -65,11 +64,14 @@ class ExperimentConfig:
             opt_doc = dict(doc.get("optimizer", {}))
             opt_doc.pop("mode", None)  # not a field, as the method picks lambda; dropped so old configs load
             opt_doc.pop("seed", None)  # and each cell sets its own seed
+            budget = opt_doc.pop("budget")
+            if opt_doc:  # such as a constant of the method
+                raise HarnessError(f"unknown optimizer keys: {', '.join(map(repr, sorted(opt_doc)))}")
             return cls(
                 method=doc["method"],
                 strategy=doc["strategy"],
                 scenario=doc["scenario"],
-                optimizer=OptimizerConfig(**opt_doc),
+                budget=budget,
                 seeds=tuple(doc["seeds"]),
                 output_dir=doc.get("output_dir", "out"),
             )
@@ -120,7 +122,7 @@ def _run_cell(config: ExperimentConfig, seed: int):
         kind = strategy_preset(config.strategy)
         spec = scenario_preset(config.scenario, seed=seed)
         blackbox = lambda cfg: evaluate(kind, spec, cfg)
-        opt = replace(config.optimizer, seed=seed)
+        opt = OptimizerConfig(config.budget, seed)
         start = time.perf_counter()
         if config.method == "tpe_as":
             history = run(opt, blackbox, kind.param_space)
@@ -198,15 +200,14 @@ def summary_from_log(log_path) -> dict:
     for i, line in enumerate(Path(log_path).read_text().strip().splitlines(), start=1):
         try:
             f = json.loads(line)["f"]
-            if type(f) not in (int, float):  # np.asarray would read a bool as a number
+            if type(f) not in (int, float):  # summarize would read a bool as a number
                 raise TypeError(f"f must be a number, got {f!r}")
         except (KeyError, TypeError, ValueError) as exc:  # also no f, not an object, not JSON
             raise HarnessError(f"{log_path}:{i}: not a trial line: {exc!r}") from exc
         fs.append(f)
-    fs = np.asarray(fs)
-    if not fs.size:
+    if not fs:
         raise HarnessError(f"no trials in log: {log_path}")
-    if not np.isfinite(fs).all():
+    if not all(abs(f) <= sys.float_info.max for f in fs):  # NaN, inf, or an int beyond float range
         raise HarnessError(f"non-finite f in log: {log_path}")
     return summarize(fs)
 

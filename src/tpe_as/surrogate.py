@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,10 +41,10 @@ class TrialRecord:
             raise SurrogateError(f"step must be an int, got {self.step!r}")
         if not isinstance(self.flags, tuple) or not all(isinstance(flag, str) for flag in self.flags):
             raise SurrogateError(f"flags must be a tuple of strings, got {self.flags!r}")
-        if not (_is_real(self.proposal_density) and 0 < self.proposal_density < math.inf):  # also catches NaN
+        if not (_is_real(self.proposal_density) and 0 < self.proposal_density <= sys.float_info.max):  # also catches NaN
             raise SurrogateError(f"proposal_density must be positive and finite, got {self.proposal_density!r}")
-        for name in ("f_value", "j_score", "lambda_used"):  # a log line can carry NaN or Infinity
-            if not (_is_real(value := getattr(self, name)) and math.isfinite(value)):
+        for name in ("f_value", "j_score", "lambda_used"):  # a log line can carry NaN, Infinity or an int beyond float range
+            if not (_is_real(value := getattr(self, name)) and abs(value) <= sys.float_info.max):
                 raise SurrogateError(f"{name} must be finite, got {value!r}")
 
 

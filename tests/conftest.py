@@ -7,6 +7,11 @@ from tpe_as.optimizer import OptimizerConfig, run
 from tpe_as.space import ParamDomain, ParamSpace, encode
 
 SPACE_2D = ParamSpace((ParamDomain("x1", "continuous", 0.0, 1.0), ParamDomain("x2", "continuous", 0.0, 1.0)))
+MIXED_SPACE = ParamSpace((
+    ParamDomain("x", "continuous", 0.0, 1.0),
+    ParamDomain("n", "integer", 1, 10),
+    ParamDomain("c", "categorical", choices=("A", "B", "C")),
+))
 
 
 @pytest.fixture
@@ -16,13 +21,7 @@ def unit_space():
 
 @pytest.fixture
 def mixed_space():
-    return ParamSpace(
-        (
-            ParamDomain("x", "continuous", 0.0, 1.0),
-            ParamDomain("n", "integer", 1, 10),
-            ParamDomain("c", "categorical", choices=("A", "B", "C")),
-        )
-    )
+    return MIXED_SPACE
 
 
 @pytest.fixture

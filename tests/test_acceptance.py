@@ -119,9 +119,7 @@ def test_criterion_7_ablation_direction(tmp_path):
     medians = {}
     for method in ("tpe_as", "tpe_conventional"):
         out = tmp_path / method
-        config = ExperimentConfig(
-            method, "threshold_hybrid", "high_volatility", OptimizerConfig(budget=500), tuple(range(5)), str(out)
-        )
+        config = ExperimentConfig(method, "threshold_hybrid", "high_volatility", 500, tuple(range(5)), str(out))
         assert run_experiment(config, parallelism=2) == 0  # a failed cell would drop its seed from the medians
         (medians[method],) = summary_stats(out / "summary.csv").values()  # one group: this preset
     adaptive, conventional = medians["tpe_as"], medians["tpe_conventional"]

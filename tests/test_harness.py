@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MIXED_SPACE
 from tpe_as import cli, harness
-from tpe_as.blackbox import STRATEGIES, BlackboxError, strategy_preset
+from tpe_as.blackbox import BlackboxError
 from tpe_as.harness import (
     ExperimentConfig,
     HarnessError,
@@ -23,6 +25,7 @@ from tpe_as.harness import (
     run_experiment,
     run_name,
     summary_from_log,
+    summary_stats,
 )
 from tpe_as.objective import EPSILON, WINDOW
 from tpe_as.optimizer import N_INIT, OptimizerConfig, run
@@ -85,7 +88,7 @@ class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         cfg = make_config(tmp_path)
         assert cfg.method == "tpe_as"
-        assert cfg.optimizer.budget == 30
+        assert cfg.budget == 30
         assert cfg.seeds == (0, 1)
 
     def test_unknown_method_rejected(self, tmp_path):
@@ -107,8 +110,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("strategy", "momentum_carry"), ("scenario", "sideways_crash"), ("seeds", (0, -1)), ("seeds", (0, True))],
-        ids=["unknown-strategy", "unknown-scenario", "seed--1", "seed-True"],
+        [("strategy", "momentum_carry"), ("scenario", "sideways_crash"), ("seeds", (0, -1)), ("seeds", (0, True)),
+         ("budget", N_INIT)],
+        ids=["unknown-strategy", "unknown-scenario", "seed--1", "seed-True", "budget-N_INIT"],
     )
     def test_config_built_in_code_checks_itself(self, tmp_path, field, value):
         # the constructor checks what from_json checks, so `replace` cannot get round it
@@ -126,8 +130,9 @@ class TestConfigParsing:
         assert cfg == make_config(tmp_path, optimizer={"budget": 30})
 
     def test_optimizer_seed_key_ignored(self, tmp_path):
+        # each cell runs under its own seed from `seeds`
         cfg = make_config(tmp_path, optimizer={"budget": 30, "seed": 7})
-        assert cfg.optimizer.seed == 0
+        assert cfg == make_config(tmp_path, optimizer={"budget": 30})
 
     @pytest.mark.parametrize(
         "argv, text",
@@ -186,65 +191,69 @@ class TestConfigParsing:
             assert re.match(r"tpe-as: error: input:\d+: ", err.splitlines()[-1])
 
 
+# a JSON number beyond float range, which json.loads reads as an exact int
+BEYOND_FLOAT = pytest.param("1" * 400, id="400-digits")
+
+
+@functools.cache
+def shared_log() -> tuple:
+    """The lines of one budget-21 search's trial log on MIXED_SPACE; the reader tests edit copies of it."""
+    history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, MIXED_SPACE)
+    return tuple(history_to_jsonl(history, MIXED_SPACE).splitlines())
+
+
+def read_edited(edit, line=2, space=MIXED_SPACE):
+    """history_from_jsonl of the shared log with its line at index `line` replaced by edit(that line)."""
+    lines = list(shared_log())
+    lines[line] = edit(lines[line])
+    return history_from_jsonl("\n".join(lines), space)
+
+
+def setting(key, value):
+    """A line edit that sets the trial line's `key` to `value`."""
+    return lambda line: json.dumps(json.loads(line) | {key: value})
+
+
 class TestTrialLogs:
-    def test_jsonl_round_trip(self, mixed_space, rng):
-        def bb(cfg):
-            return float(cfg.values[0]) + cfg.values[1]
-
-        history = run(OptimizerConfig(budget=25, seed=4), bb, mixed_space)
-        text = history_to_jsonl(history, mixed_space)
-        back = history_from_jsonl(text, mixed_space)
-        assert back.trials == history.trials
-
     @pytest.mark.parametrize(
-        "strategy, name, value, kind",
+        "name, value, kind",
         [
-            ("threshold_hybrid", "mom_lb_0", 1_000_000, "integer"),
-            ("threshold_hybrid", "mom_lb_0", float("inf"), "integer"),
-            ("threshold_hybrid", "mom_th_0", -1e9, "continuous"),
-            ("trend_following", "mode_0", "never", "categorical"),
-            ("threshold_hybrid", "mom_lb_0", 5.0, "integer"),  # in bounds, but no writer puts a float there
+            ("n", 1_000_000, "integer"),
+            ("n", float("inf"), "integer"),
+            ("x", -1e9, "continuous"),
+            ("c", "never", "categorical"),
+            ("n", 5.0, "integer"),  # in bounds, but no writer puts a float there
         ],
     )
-    def test_out_of_domain_line_rejected(self, strategy, name, value, kind):
+    def test_out_of_domain_line_rejected(self, name, value, kind):
         # History.append, which encodes the config, is the check a log passes
-        space = strategy_preset(strategy).param_space
-        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, space)
-        lines = history_to_jsonl(history, space).splitlines()
-        doc = json.loads(lines[2])
-        doc["config"][name] = value
-        lines[2] = json.dumps(doc)
+        config = json.loads(shared_log()[2])["config"] | {name: value}
         with pytest.raises(SpaceError, match=rf"^{name}: value .* outside {kind} domain$"):
-            history_from_jsonl("\n".join(lines), space)
+            read_edited(setting("config", config))
 
     def test_unknown_keys_rejected(self):
-        # a 6-group threshold_hybrid log under the 5-group space names the keys
-        # of the sixth group, rather than dropping them
-        five = strategy_preset("threshold_hybrid").param_space
-        six = ParamSpace(five.domains + tuple(dataclasses.replace(d, name=f"{d.name}_5") for d in STRATEGIES["threshold_hybrid"]))
-        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, six)
-        with pytest.raises(SpaceError, match="^unknown keys for this space: 'mom_lb_5', 'mom_th_5', 'rsi_band_5', 'rsi_lb_5', 'sizing_5', 'stop_5'$"):
-            history_from_jsonl(history_to_jsonl(history, six), five)
+        # a log read under a space that lacks some of its dims names their keys, rather than dropping them
+        with pytest.raises(SpaceError, match="^unknown keys for this space: 'c', 'n'$"):
+            history_from_jsonl("\n".join(shared_log()), ParamSpace(MIXED_SPACE.domains[:1]))
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
-    def test_nonfinite_density_line_rejected(self, mixed_space, literal):
-        # json.loads reads NaN and Infinity, so a log can carry them
-        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
-        lines = history_to_jsonl(history, mixed_space).splitlines()
-        lines[2] = re.sub(r'"proposal_density":[^,]*', f'"proposal_density":{literal}', lines[2])
-        assert f'"proposal_density":{literal},' in lines[2]
-        with pytest.raises(SurrogateError, match="^proposal_density must be positive and finite"):
-            history_from_jsonl("\n".join(lines), mixed_space)
+    def test_missing_key_rejected(self):
+        with pytest.raises(SpaceError, match="^missing value for n$"):
+            read_edited(setting("config", {"x": 0.5, "c": "A"}))
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true", '"0.5"'])
-    @pytest.mark.parametrize("key, field", [("f", "f_value"), ("j_score", "j_score")])
-    def test_nonfinite_score_line_rejected(self, mixed_space, key, field, literal):
-        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
-        lines = history_to_jsonl(history, mixed_space).splitlines()
-        lines[2] = re.sub(rf'"{key}":[^,]*', f'"{key}":{literal}', lines[2])
-        assert f'"{key}":{literal},' in lines[2]
-        with pytest.raises(SurrogateError, match=f"^{field} must be finite"):
-            history_from_jsonl("\n".join(lines), mixed_space)
+    # json.loads reads NaN and Infinity, so a log can carry them; a log line is
+    # the only outside source of a TrialRecord, so these are its refusals
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "0.0", "-1.0", "true", '"0.5"', BEYOND_FLOAT])
+    def test_nonfinite_density_line_rejected(self, literal):
+        value = json.loads(literal)
+        with pytest.raises(SurrogateError, match=f"^proposal_density must be positive and finite, got {re.escape(repr(value))}$"):
+            read_edited(setting("proposal_density", value))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true", '"0.5"', "-Infinity", BEYOND_FLOAT])
+    @pytest.mark.parametrize("key, field", [("f", "f_value"), ("j_score", "j_score"), ("lambda", "lambda_used")])
+    def test_nonfinite_score_line_rejected(self, key, field, literal):
+        value = json.loads(literal)
+        with pytest.raises(SurrogateError, match=f"^{field} must be finite, got {re.escape(repr(value))}$"):
+            read_edited(setting(key, value))
 
     @pytest.mark.parametrize(
         "line, key, value, message",
@@ -256,13 +265,10 @@ class TestTrialLogs:
         ],
         ids=["step-true", "step-whole-float", "flags-string", "flags-not-strings"],
     )
-    def test_ill_typed_step_or_flags_line_rejected(self, mixed_space, line, key, value, message):
+    def test_ill_typed_step_or_flags_line_rejected(self, line, key, value, message):
         # each would load as a record that history_to_jsonl writes back differently
-        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
-        lines = history_to_jsonl(history, mixed_space).splitlines()
-        lines[line] = json.dumps(json.loads(lines[line]) | {key: value})
         with pytest.raises(SurrogateError, match=f"^{message}$"):
-            history_from_jsonl("\n".join(lines), mixed_space)
+            read_edited(setting(key, value), line)
 
     @pytest.mark.parametrize(
         "edit",
@@ -274,38 +280,15 @@ class TestTrialLogs:
         ],
         ids=["not-json", "not-an-object", "no-lambda", "config-not-an-object"],
     )
-    def test_bad_line_named(self, mixed_space, edit):
-        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
-        lines = history_to_jsonl(history, mixed_space).splitlines()
-        lines[2] = edit(lines[2])
+    def test_bad_line_named(self, edit):
         with pytest.raises(HarnessError, match="^line 3: not a trial line: "):
-            history_from_jsonl("\n".join(lines), mixed_space)
-
-    def test_skipped_step_rejected(self, mixed_space):
-        history = run(OptimizerConfig(budget=21, seed=0), lambda cfg: 0.0, mixed_space)
-        lines = history_to_jsonl(history, mixed_space).splitlines()
-        with pytest.raises(SurrogateError, match="^expected step 3, got 4$"):
-            history_from_jsonl("\n".join(lines[:2] + lines[3:]), mixed_space)
-
-    def test_jsonl_is_one_object_per_line(self, mixed_space):
-        def bb(cfg):
-            return float(cfg.values[0])
-
-        history = run(OptimizerConfig(budget=21, seed=0), bb, mixed_space)
-        lines = history_to_jsonl(history, mixed_space).strip().splitlines()
-        assert len(lines) == 21
-        for line in lines:
-            doc = json.loads(line)
-            assert set(doc) == {
-                "step", "config", "f", "j_score", "lambda", "proposal_density", "flags"
-            }
+            read_edited(edit)
 
 
 class TestRunExperiment:
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_method_decides_lambda(self, tmp_path, method):
-        opt = OptimizerConfig(budget=21)
-        cfg = ExperimentConfig(method, "threshold_hybrid", "high_volatility", opt, (0,), str(tmp_path))
+        cfg = ExperimentConfig(method, "threshold_hybrid", "high_volatility", 21, (0,), str(tmp_path))
         assert run_experiment(cfg) == 0
         log = tmp_path / f"trials_{run_name(cfg, 0)}.jsonl"
         trials = [json.loads(line) for line in log.read_text().splitlines()]
@@ -395,7 +378,7 @@ class TestRunExperiment:
         with pytest.raises(HarnessError, match=f"^{re.escape(str(log))}:2: not a trial line: "):
             summary_from_log(log)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", BEYOND_FLOAT])
     def test_summary_of_nonfinite_f_names_the_log(self, tmp_path, literal):
         # json.loads reads these literals, and max and var would carry them into the row
         log = tmp_path / "trials_nonfinite.jsonl"
@@ -486,6 +469,12 @@ class TestReport:
         assert f"{expected_max:.4f}" in line
         assert "best-max" in line and "best-var" in line
 
+    def test_failed_rows_left_out(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        group = ("tpe_as", "trend_following", "stable_bull")
+        path.write_text(summary_csv([*group, 0, "ok", 1.5, 0.5, 0.01], [*group, 1, "failed: RuntimeError()", "", "", ""]))
+        assert summary_stats(path) == {group: {"max_f": (1.5, 0.0), "variance_f": (0.5, 0.0)}}
+
     def test_report_missing_file(self, tmp_path):
         with pytest.raises(HarnessError):
             report(tmp_path / "nope.csv")
@@ -502,6 +491,13 @@ class TestReport:
         group = ["tpe_as", "trend_following", "stable_bull"]
         path.write_text(summary_csv([*group, 0, "ok", 1.5, 0.5, 0.01], [*group, 1, "ok", max_f, variance_f, 0.01]))
         with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}:3: not a run's summary: "):
+            report(path)
+
+    @pytest.mark.parametrize("max_f, variance_f", [("", 0.5), (1.5, "n/a")])
+    def test_report_rejects_an_ok_row_without_numbers(self, tmp_path, max_f, variance_f):
+        path = tmp_path / "summary.csv"
+        path.write_text(summary_csv(["tpe_as", "trend_following", "stable_bull", 0, "ok", max_f, variance_f, 0.01]))
+        with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}:2: could not convert string to float: "):
             report(path)
 
 
