@@ -7,7 +7,6 @@ import functools
 import json
 import math
 import statistics
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from .baselines import BASELINE_KINDS, run_baseline
 from .blackbox import evaluate, scenario_preset, strategy_preset
 from .optimizer import OptimizerConfig, run, summarize
 from .space import Config, ParamSpace
-from .surrogate import History, TrialRecord
+from .surrogate import MAX_ABS_F, History, TrialRecord
 
 METHODS = ("tpe_as", *BASELINE_KINDS)  # in the order a grid runs them
 SUMMARY_HEADER = [
@@ -207,8 +206,8 @@ def summary_from_log(log_path) -> dict:
         fs.append(f)
     if not fs:
         raise HarnessError(f"no trials in log: {log_path}")
-    if not all(abs(f) <= sys.float_info.max for f in fs):  # NaN, inf, or an int beyond float range
-        raise HarnessError(f"non-finite f in log: {log_path}")
+    if not all(abs(f) <= MAX_ABS_F for f in fs):  # NaN, inf, or an f the loop never records
+        raise HarnessError(f"f not finite or beyond ±{MAX_ABS_F:g} in log: {log_path}")
     return summarize(fs)
 
 

@@ -9,12 +9,11 @@ import numpy as np
 
 from .objective import build_g_model, lagrangian_score, lambda_schedule, windowed_variance
 from .space import Config, ParamSpace, require_valid, sample_uniform, uniform_density
-from .surrogate import History, TrialRecord, propose_next
+from .surrogate import MAX_ABS_F, History, TrialRecord, propose_next
 
 FAILURE_FLAG = "blackbox_failure"
 DEGENERATE_FLAG = "degenerate_volatility"
 NONFINITE_FLAG = "nonfinite_result"  # NaN, +-inf, or overflow-sized: |f| > MAX_ABS_F
-MAX_ABS_F = 1e100  # bigger results would overflow the windowed variance
 
 N_INIT = 20  # uniform warm-up draws
 

@@ -18,6 +18,7 @@ SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
 K = 0.15  # share of top trials that the good density and the g-model fit
 N_CANDIDATES = 64  # candidates scored per TPE proposal
+MAX_ABS_F = 1e100  # the loop records no bigger f: it would overflow the windowed variance
 
 
 class SurrogateError(ValueError):
@@ -43,9 +44,10 @@ class TrialRecord:
             raise SurrogateError(f"flags must be a tuple of strings, got {self.flags!r}")
         if not (_is_real(self.proposal_density) and 0 < self.proposal_density <= sys.float_info.max):  # also catches NaN
             raise SurrogateError(f"proposal_density must be positive and finite, got {self.proposal_density!r}")
-        for name in ("f_value", "j_score", "lambda_used"):  # a log line can carry NaN, Infinity or an int beyond float range
-            if not (_is_real(value := getattr(self, name)) and abs(value) <= sys.float_info.max):
-                raise SurrogateError(f"{name} must be finite, got {value!r}")
+        # a log line can carry NaN, Infinity, an int beyond float range or an f the loop never records
+        for name, bound in (("f_value", MAX_ABS_F), ("j_score", sys.float_info.max), ("lambda_used", sys.float_info.max)):
+            if not (_is_real(value := getattr(self, name)) and abs(value) <= bound):
+                raise SurrogateError(f"{name} must be finite and within ±{bound:g}, got {value!r}")
 
 
 def _is_real(value) -> bool:

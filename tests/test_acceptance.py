@@ -2,7 +2,7 @@
 
 Criteria 1-6 and 8 are fast property checks; criterion 7 runs the full
 threshold_hybrid x high_volatility ablation (10 optimizer runs at budget 500)
-through `run_experiment` with two workers: about 15 s on a 2-vCPU machine.
+through `run_experiment` with two workers.
 """
 
 import json

@@ -30,7 +30,7 @@ from tpe_as.harness import (
 from tpe_as.objective import EPSILON, WINDOW
 from tpe_as.optimizer import N_INIT, OptimizerConfig, run
 from tpe_as.space import ParamSpace, SpaceError
-from tpe_as.surrogate import K, N_CANDIDATES, SurrogateError
+from tpe_as.surrogate import K, MAX_ABS_F, N_CANDIDATES, SurrogateError
 
 import numpy as np
 
@@ -248,11 +248,21 @@ class TestTrialLogs:
         with pytest.raises(SurrogateError, match=f"^proposal_density must be positive and finite, got {re.escape(repr(value))}$"):
             read_edited(setting("proposal_density", value))
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true", '"0.5"', "-Infinity", BEYOND_FLOAT])
-    @pytest.mark.parametrize("key, field", [("f", "f_value"), ("j_score", "j_score"), ("lambda", "lambda_used")])
+    # f is bounded by the loop's MAX_ABS_F, j and lambda only by float range: a j can reach about -1.44e200
+    @pytest.mark.parametrize(
+        "key, field, literal",
+        [
+            (key, field, literal)
+            for key, field, beyond in [("f", "f_value", ["1e300", "-1e101"]), ("j_score", "j_score", []),
+                                       ("lambda", "lambda_used", [])]
+            for literal in ["NaN", "Infinity", "true", '"0.5"', "-Infinity", *BEYOND_FLOAT.values, *beyond]
+        ],
+        ids=lambda value: BEYOND_FLOAT.id if value in BEYOND_FLOAT.values else None,
+    )
     def test_nonfinite_score_line_rejected(self, key, field, literal):
-        value = json.loads(literal)
-        with pytest.raises(SurrogateError, match=f"^{field} must be finite, got {re.escape(repr(value))}$"):
+        value, bound = json.loads(literal), MAX_ABS_F if key == "f" else sys.float_info.max
+        message = re.escape(f"{field} must be finite and within ±{bound:g}, got {value!r}")
+        with pytest.raises(SurrogateError, match=f"^{message}$"):
             read_edited(setting(key, value))
 
     @pytest.mark.parametrize(
@@ -378,12 +388,12 @@ class TestRunExperiment:
         with pytest.raises(HarnessError, match=f"^{re.escape(str(log))}:2: not a trial line: "):
             summary_from_log(log)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", BEYOND_FLOAT])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", BEYOND_FLOAT, "1e300", "-1e101"])
     def test_summary_of_nonfinite_f_names_the_log(self, tmp_path, literal):
-        # json.loads reads these literals, and max and var would carry them into the row
+        # json.loads reads these literals, and max and var would carry them, or an overflow, into the row
         log = tmp_path / "trials_nonfinite.jsonl"
         log.write_text(f'{{"f":0.5}}\n{{"f":{literal}}}\n')
-        with pytest.raises(HarnessError, match=f"^non-finite f in log: {re.escape(str(log))}$"):
+        with pytest.raises(HarnessError, match=f"^{re.escape(f'f not finite or beyond ±{MAX_ABS_F:g} in log: {log}')}$"):
             summary_from_log(log)
 
     @pytest.mark.parametrize(

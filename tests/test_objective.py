@@ -146,6 +146,10 @@ class TestLagrangianScore:
         # mean performance 3.288 with variance 0.309 at full penalty
         assert lagrangian_score(3.288, 0.309, 1.0) == pytest.approx(2.979)
 
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ObjectiveError, match="^variance must be nonnegative$"):
+            lagrangian_score(1.0, -1e-12, 1.0)
+
 
 class TestBuildGModel:
     def test_two_trials_two_components(self, unit_space, rng):

@@ -18,7 +18,6 @@ from tpe_as.objective import MAX_EPSILON, lambda_schedule
 from tpe_as.optimizer import (
     DEGENERATE_FLAG,
     FAILURE_FLAG,
-    MAX_ABS_F,
     N_INIT,
     NONFINITE_FLAG,
     OptimizerConfig,
@@ -27,7 +26,7 @@ from tpe_as.optimizer import (
     summarize,
 )
 from tpe_as.space import Config, SpaceError, sample_uniform, uniform_density
-from tpe_as.surrogate import History
+from tpe_as.surrogate import MAX_ABS_F, History
 
 
 def mixed_f(cfg):

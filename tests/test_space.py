@@ -42,12 +42,16 @@ def test_length_mismatch_is_distinct_violation():
 
 
 def test_degenerate_bounds_rejected():
-    with pytest.raises(SpaceError):
-        ParamDomain("a", "continuous", 1.0, 1.0)
-    with pytest.raises(SpaceError):
-        ParamDomain("c", "categorical", choices=("only",))
-    with pytest.raises(SpaceError):
-        ParamDomain("c", "categorical", choices=("x", "x"))
+    for build, message in [
+        (lambda: ParamDomain("a", "continuous", 1.0, 1.0), "a: lo must be strictly below hi"),
+        (lambda: ParamDomain("n", "integer", 0, 2.5), "n: integer bounds must be whole"),
+        (lambda: ParamDomain("c", "categorical", choices=("only",)), "c: need >= 2 distinct choices"),
+        (lambda: ParamDomain("c", "categorical", choices=("x", "x")), "c: need >= 2 distinct choices"),
+        (lambda: ParamDomain("o", "ordinal"), "o: unknown kind 'ordinal'"),
+        (lambda: ParamSpace(()), "space needs at least one domain"),
+    ]:
+        with pytest.raises(SpaceError, match=f"^{message}$"):
+            build()
 
 
 def test_duplicate_names_rejected():

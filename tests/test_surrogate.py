@@ -457,23 +457,6 @@ class TestFitReuse:
         assert same_fit(pickle.loads(before).fit(good), model)
 
 
-# The per-config validator that the fast path replaced, kept verbatim as its
-# oracle: trial logs depend on every SpaceError message.
-
-
-def reference_require_valid(space: ParamSpace, config: Config) -> None:
-    """Raise SpaceError naming every coordinate of config outside its domain."""
-    if len(config.values) != space.m:
-        raise SpaceError(f"<space>: expected {space.m} values, got {len(config.values)}")
-    bad = [
-        f"{d.name}: value {v!r} outside {d.kind} domain"
-        for d, v in zip(space.domains, config.values)
-        if not d.contains(v)
-    ]
-    if bad:
-        raise SpaceError("; ".join(bad))
-
-
 @dataclass(frozen=True)
 class ConfigKdeModel:
     """The model the Config-based oracles build: truncation masses and
@@ -496,15 +479,10 @@ def reference_lattice_pmf(d, bw, centers):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def reference_validate_batch(space, *configs):
-    for config in configs:
-        reference_require_valid(space, config)
-
-
 # The Config-based surrogate and objective that the array path replaced, kept
 # verbatim as the oracle of the whole loop and of every bit of every bandwidth;
-# only the names carry a `config_` prefix, and the batch validator and lattice
-# pmf they called are `reference_validate_batch` and `reference_lattice_pmf`.
+# only the names carry a `config_` prefix, the lattice pmf they called is
+# `reference_lattice_pmf`, and they validate each config with `require_valid`.
 # The sampler is instead a per-config scalar reading of `sample_from_kde`'s
 # rule over the same three RNG blocks.  The oracles write the method's
 # constants as literals, the top share 0.15, 64 candidates, the clip 0.2 and
@@ -540,7 +518,8 @@ def config_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
     """Fit a Parzen density with one component per member config."""
     if not members:
         raise SurrogateError("cannot fit a KDE on zero members")
-    reference_validate_batch(space, *members)
+    for config in members:
+        require_valid(space, config)
 
     n = len(members)
     columns = list(zip(*(cfg.values for cfg in members)))
@@ -578,7 +557,8 @@ def config_fit_kde(members, space: ParamSpace) -> ConfigKdeModel:
 
 def config_density(model: ConfigKdeModel, configs) -> np.ndarray:
     """Mixture densities at a list of configs; each strictly positive."""
-    reference_validate_batch(model.space, *configs)
+    for config in configs:
+        require_valid(model.space, config)
     per_component = np.ones((len(configs), model.n_components))
     categorical_factor = np.ones(len(configs))
     for i, (d, col) in enumerate(zip(model.space.domains, zip(*(c.values for c in configs)))):
@@ -727,6 +707,28 @@ ODD_VALUES = {
     "unhashable": lambda d, v: [v],
     "np-str": lambda d, v: np.str_(v) if isinstance(v, str) else np.str_("c0"),
 }
+# The ODD_VALUES each kind accepts, a numeric one only within [lo, hi]; every
+# kind refuses the rest.  random_space gives integer domains int bounds.
+ACCEPTS = {
+    "continuous": {"np-float64", "whole-float", "lo", "hi", "int-lo"},  # any real but a bool or a numpy int
+    "integer": {"np-int64", "lo", "hi", "int-lo"},  # no float, not even a whole one
+    "categorical": {"lo", "hi", "np-str"},  # a choice label, as a str or a np.str_
+}
+
+
+def planted_error(space, values, planted):
+    """The SpaceError message for a config of `values` whose dims in `planted`
+    (dim -> ODD_VALUES name) hold planted values and all others valid ones, or None."""
+    if len(values) != space.m:
+        return f"<space>: expected {space.m} values, got {len(values)}"
+    bad = [
+        f"{d.name}: value {values[dim]!r} outside {d.kind} domain"
+        for dim, d in enumerate(space.domains)
+        if dim in planted and not (
+            planted[dim] in ACCEPTS[d.kind] and (d.kind == "categorical" or d.lo <= values[dim] <= d.hi)
+        )
+    ]
+    return "; ".join(bad) or None
 
 
 def mixture_cdf(model, i):
@@ -889,15 +891,16 @@ class TestFastPathMatchesReference:
     )
     def test_append_validates_as_per_config(self, seed, n_configs, plants, resize):
         # History.append is where a config enters the surrogate's arrays: it
-        # rejects what the per-config validator rejects, with its message, and
-        # the row it keeps decodes back to an equal config
+        # rejects what ACCEPTS refuses, with require_valid's message, and the
+        # row it keeps decodes back to an equal config
         rng = np.random.default_rng(seed)
         space = random_space(rng, max_dims=6)
         valid = [sample_uniform(space, rng).values for _ in range(n_configs)]
-        rows = [list(values) for values in valid]
+        rows, planted = [list(values) for values in valid], [{} for _ in valid]
         for row, dim, name in plants:
             row, dim = row % n_configs, dim % space.m
             rows[row][dim] = ODD_VALUES[name](space.domains[dim], valid[row][dim])
+            planted[row][dim] = name
         if resize:  # one config one value short or long
             row, step = resize
             rows[row % n_configs] = rows[row % n_configs][:step] if step < 0 else rows[row % n_configs] * 2
@@ -905,9 +908,9 @@ class TestFastPathMatchesReference:
             history.append(TrialRecord(step=1, config=config, f_value=0.0, j_score=0.0,
                                        proposal_density=1.0, lambda_used=0.0))
 
-        for config in (Config(tuple(row)) for row in rows):
-            history = History(space)
-            expected = space_error(reference_validate_batch, space, [config])
+        for row, planted_dims in zip(rows, planted):
+            config, history = Config(tuple(row)), History(space)
+            expected = planted_error(space, row, planted_dims)
             assert space_error(append, history, [config]) == expected
             assert space_error(require_valid, space, [config]) == expected
             if expected is None:
